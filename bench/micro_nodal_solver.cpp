@@ -10,24 +10,36 @@
 //   * batched    — the factorized multi-RHS path (readout_batch), which also
 //                  parallelises substitutions across the batch.
 //
+// A second table times the substitution itself on one thread: k single
+// NodalSolver::solve calls against solve_block over blocks of 8 right-hand
+// sides, in microseconds per right-hand side, and checks that both paths
+// produce the same bytes.
+//
 // Emits BENCH_nodal_solver.json.  `--nodal-smoke` is the CI gate: it fails
 // (nonzero exit) if the factorized repeated-query path is not faster than
 // cold-start Gauss-Seidel — the acceptance bar is 10x on 64x64; the gate
 // enforces a conservative >= 2x so CI jitter cannot mask a real regression
 // while a broken cache (or an accidentally disabled direct path) still trips
-// it instantly.
+// it instantly — or if solve_block differs from single solves in any byte.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "device/technology.hpp"
 #include "util/argparse.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "xbar/crossbar.hpp"
+
+#ifndef XLDS_BUILD_TYPE
+#define XLDS_BUILD_TYPE "unknown"
+#endif
 
 using namespace xlds;
 
@@ -167,6 +179,67 @@ SizeResult run_size(std::size_t n, std::size_t queries, std::uint64_t seed) {
   return res;
 }
 
+// ---- blocked vs single substitution ----------------------------------------
+
+struct BlockResult {
+  std::size_t n = 0;
+  std::size_t rhs = 0;
+  double single_us = 0.0;  ///< best-of-repeats time per right-hand side, solve()
+  double block_us = 0.0;   ///< same, solve_block over blocks of kMaxBlock
+  bool identical = false;  ///< currents and residuals byte-equal
+
+  double speedup() const { return block_us > 0.0 ? single_us / block_us : 0.0; }
+};
+
+BlockResult run_block(std::size_t n, std::size_t rhs, int repeats, std::uint64_t seed) {
+  BlockResult res;
+  res.n = n;
+  res.rhs = rhs;
+  const xbar::CrossbarConfig cfg = base_config(n);
+  const device::TechNode& tech = device::tech_node(cfg.tech);
+  const double g_wire = 1.0 / (tech.wire_r_per_m * cfg.cell_pitch_f * tech.feature_m);
+  xbar::NodalSolver solver;
+  if (!solver.factorize(half_loaded(n, cfg.rram, seed), g_wire, cfg.nodal_direct_max_bytes))
+    return res;
+  MatrixD v_in = query_batch(rhs, n, seed + 1);
+  for (double& v : v_in.data()) v *= cfg.read_voltage;
+
+  constexpr std::size_t kBlock = xbar::NodalSolver::kMaxBlock;
+  MatrixD i_single(rhs, n), i_block(rhs, n);
+  std::vector<xbar::NodalSolver::Result> r_single(rhs), r_block(rhs);
+  xbar::NodalSolver::Workspace ws;
+  res.single_us = res.block_us = 1e300;
+  for (int rep = 0; rep < repeats; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t j = 0; j < rhs; ++j)
+      r_single[j] = solver.solve(v_in.row_data(j), i_single.row_data(j), ws);
+    res.single_us = std::min(res.single_us, seconds_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    for (std::size_t j = 0; j < rhs; j += kBlock)
+      solver.solve_block(v_in.row_data(j), i_block.row_data(j), r_block.data() + j,
+                         std::min(kBlock, rhs - j), ws);
+    res.block_us = std::min(res.block_us, seconds_since(t0));
+  }
+  res.single_us *= 1e6 / static_cast<double>(rhs);
+  res.block_us *= 1e6 / static_cast<double>(rhs);
+  res.identical =
+      std::memcmp(i_single.data().data(), i_block.data().data(), rhs * n * sizeof(double)) == 0;
+  for (std::size_t j = 0; j < rhs; ++j)
+    res.identical = res.identical && std::memcmp(&r_single[j].residual, &r_block[j].residual,
+                                                 sizeof(double)) == 0;
+  return res;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
+    }
+  return "unknown";
+}
+
 void print_results(const std::vector<SizeResult>& results) {
   Table table({"array", "queries", "GS cold", "GS warm", "factorize", "per query",
                "batched", "speedup", "batched speedup", "max dev"});
@@ -184,11 +257,35 @@ void print_results(const std::vector<SizeResult>& results) {
   std::cout << table;
 }
 
-void emit_json(const std::vector<SizeResult>& results) {
+void print_block_results(const std::vector<BlockResult>& results) {
+  Table table({"array", "rhs", "solve()", "solve_block", "speedup", "bytes"});
+  for (const BlockResult& r : results)
+    table.add_row({std::to_string(r.n) + "x" + std::to_string(r.n), std::to_string(r.rhs),
+                   Table::num(r.single_us, 1) + " us/rhs", Table::num(r.block_us, 1) + " us/rhs",
+                   Table::num(r.speedup(), 2) + "x", r.identical ? "identical" : "DIFFER"});
+  std::cout << "\nSubstitution only, 1 thread, blocks of " << xbar::NodalSolver::kMaxBlock
+            << " right-hand sides:\n"
+            << table;
+}
+
+void emit_json(const std::vector<SizeResult>& results, const std::vector<BlockResult>& blocks) {
   std::ofstream json("BENCH_nodal_solver.json");
   json << "{\n"
        << "  \"bench\": \"nodal_solver\",\n"
        << "  \"threads\": " << parallel_thread_count() << ",\n"
+       << "  \"machine\": {\"hardware_threads\": " << std::thread::hardware_concurrency()
+       << ", \"cpu\": \"" << cpu_model() << "\", \"compiler\": \"" << __VERSION__
+       << "\", \"build_type\": \"" << XLDS_BUILD_TYPE << "\"},\n"
+       << "  \"blocked_substitution\": [\n";
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const BlockResult& b = blocks[i];
+    json << "    {\"array\": " << b.n << ", \"rhs\": " << b.rhs << ", \"block\": "
+         << xbar::NodalSolver::kMaxBlock << ", \"single_us_per_rhs\": " << b.single_us
+         << ", \"block_us_per_rhs\": " << b.block_us << ", \"speedup\": " << b.speedup()
+         << ", \"bit_identical\": " << (b.identical ? "true" : "false") << "}"
+         << (i + 1 < blocks.size() ? "," : "") << "\n";
+  }
+  json << "  ],\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
@@ -218,7 +315,15 @@ int run_nodal_smoke() {
             << " ms one-time factorize), speedup " << r.speedup_repeated()
             << "x, max deviation " << r.max_dev << " A (tolerance " << r.gs_tol_current
             << " A)\n";
+  const BlockResult b = run_block(64, /*rhs=*/12, /*repeats=*/1, /*seed=*/2000);
+  std::cout << "  64x64, 12 inputs: solve() " << b.single_us << " us/rhs, solve_block "
+            << b.block_us << " us/rhs, " << (b.identical ? "bytes identical" : "bytes DIFFER")
+            << "\n";
   bool ok = true;
+  if (!b.identical) {
+    std::cout << "FAIL: solve_block differs from single solves\n";
+    ok = false;
+  }
   if (r.speedup_repeated() < 2.0) {
     std::cout << "FAIL: factorized repeated-query path is not clearly faster than "
                  "cold-start Gauss-Seidel\n";
@@ -255,7 +360,10 @@ int main(int argc, char** argv) {
     results.push_back(run_size(n, /*queries=*/16, seed));
 
   print_results(results);
-  emit_json(results);
+  std::vector<BlockResult> blocks;
+  for (std::size_t n : {64u, 128u}) blocks.push_back(run_block(n, /*rhs=*/32, /*repeats=*/3, seed));
+  print_block_results(blocks);
+  emit_json(results, blocks);
 
   std::cout << "\nExpected shape: cold-start Gauss-Seidel cost per query grows steeply\n"
                "with array size; the cached factorization pays a one-time build and\n"

@@ -27,7 +27,9 @@ class Profiler {
   };
 
   static void count_factorization() noexcept { nodal_factorizations_.fetch_add(1, kOrder); }
-  static void count_direct_solve() noexcept { nodal_direct_solves_.fetch_add(1, kOrder); }
+  static void count_direct_solve(std::uint64_t solves = 1) noexcept {
+    nodal_direct_solves_.fetch_add(solves, kOrder);
+  }
   static void count_gs_solve() noexcept { nodal_gs_solves_.fetch_add(1, kOrder); }
   static void count_incremental_update(std::uint64_t cells) noexcept {
     nodal_updates_.fetch_add(1, kOrder);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <tuple>
 
@@ -44,8 +45,12 @@ std::string percent(double fraction) {
 // (unmodelled IR drop is computation error, not just delay).  One solve per
 // device kind, memoised process-wide: the solve is a pure function of the
 // device, and a search promotes many points per device.
+struct IrErrorSlot {
+  std::once_flag once;
+  double err = 0.0;
+};
 std::mutex g_ir_cache_mutex;
-std::map<int, double> g_ir_error_cache;
+std::map<int, std::shared_ptr<IrErrorSlot>> g_ir_error_cache;
 
 constexpr std::uint64_t kTileSeed = 0x9e3779b97f4a7c15ull;
 
@@ -93,16 +98,21 @@ double nodal_ir_error_uncached(device::DeviceKind dev) {
 }
 
 double nodal_ir_error(device::DeviceKind dev) {
-  const int key = static_cast<int>(dev);
+  // Single-flight per device: the first caller computes, concurrent callers
+  // for the same device wait on its once_flag instead of each factorizing the
+  // tile (which made a job's factorization count depend on the thread count),
+  // and different devices still compute in parallel.  The map lock only
+  // guards the lookup; the shared_ptr keeps a slot alive across a concurrent
+  // clear_fidelity_caches().
+  std::shared_ptr<IrErrorSlot> slot;
   {
     std::lock_guard<std::mutex> lk(g_ir_cache_mutex);
-    const auto it = g_ir_error_cache.find(key);
-    if (it != g_ir_error_cache.end()) return it->second;
+    auto& entry = g_ir_error_cache[static_cast<int>(dev)];
+    if (entry == nullptr) entry = std::make_shared<IrErrorSlot>();
+    slot = entry;
   }
-  const double err = nodal_ir_error_uncached(dev);
-  std::lock_guard<std::mutex> lk(g_ir_cache_mutex);
-  g_ir_error_cache.emplace(key, err);
-  return err;
+  std::call_once(slot->once, [&] { slot->err = nodal_ir_error_uncached(dev); });
+  return slot->err;
 }
 
 // --- Monte-Carlo tier: resilience probe, memoised per (rate, age, seed) ---

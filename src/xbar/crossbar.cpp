@@ -558,24 +558,31 @@ std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
 }
 
 void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
-                                    MatrixD& out,
-                                    std::vector<SolveStatus>* statuses) const {
-  // One forward/back substitution per RHS against the shared factorization.
-  // Each solve touches only its own rows of v_in/out plus per-chunk scratch,
-  // so the batch parallelises with bit-identical per-vector results at any
-  // thread count (the factorization itself is read-only here).
-  const std::size_t batch = v_in.rows();
+                                    std::size_t first, MatrixD& out,
+                                    std::vector<SolveStatus>& statuses) const {
+  // Rows [first, batch) in blocks of up to NodalSolver::kMaxBlock right-hand
+  // sides, each block one forward/back pass over the shared factorization.
+  // Blocks touch only their own rows of v_in/out plus per-chunk scratch, and
+  // every row's result is bit-identical to a single solve() whatever block
+  // it lands in, so the split (even blocks of ceil(tail / 8)) and the thread
+  // count never change a byte.
+  const std::size_t tail = v_in.rows() - first;
+  if (tail == 0) return;
+  const std::size_t blocks = (tail + NodalSolver::kMaxBlock - 1) / NodalSolver::kMaxBlock;
   const double tol = kNodalTolRel * config_.read_voltage;
-  parallel_for(batch, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+  parallel_for(blocks, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
     NodalSolver::Workspace ws;
-    for (std::size_t b = begin; b < end; ++b) {
-      const NodalSolver::Result res = solver.solve(v_in.row_data(b), out.row_data(b), ws);
-      if (statuses != nullptr) {
-        SolveStatus& s = (*statuses)[b];
+    NodalSolver::Result res[NodalSolver::kMaxBlock];
+    for (std::size_t blk = begin; blk < end; ++blk) {
+      const std::size_t b0 = first + blk * tail / blocks;
+      const std::size_t b1 = first + (blk + 1) * tail / blocks;
+      solver.solve_block(v_in.row_data(b0), out.row_data(b0), res, b1 - b0, ws);
+      for (std::size_t b = b0; b < b1; ++b) {
+        SolveStatus& s = statuses[b];
         s = SolveStatus{};
         s.direct = true;
-        s.residual = res.residual;
-        s.converged = res.residual < tol;
+        s.residual = res[b - b0].residual;
+        s.converged = s.residual < tol;
       }
     }
   });
@@ -675,38 +682,19 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
       const std::shared_ptr<const NodalSolver> solver =
           config_.nodal_direct ? ensure_factorized() : nullptr;
       if (solver != nullptr) {
-        currents_nodal_batch(*solver, v_in, out, &local);
+        currents_nodal_batch(*solver, v_in, 0, out, local);
         // Drift retry, batched: replicate what the sequential single-query
         // path would do.  The first query to miss the tolerance on an
         // incrementally updated factor triggers one refactorization; every
         // query from that point on would have seen the fresh factor, so
         // re-solve the whole tail against it.
         if (solver->updates_applied() > 0) {
-          std::size_t first_bad = batch;
-          for (std::size_t b = 0; b < batch; ++b) {
-            if (!local[b].converged) {
-              first_bad = b;
-              break;
-            }
-          }
-          if (first_bad < batch) {
-            if (const auto fresh = refactorize_fresh()) {
-              const std::size_t tail = batch - first_bad;
-              const double tol = kNodalTolRel * config_.read_voltage;
-              parallel_for(tail, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-                NodalSolver::Workspace ws;
-                for (std::size_t t = begin; t < end; ++t) {
-                  const std::size_t b = first_bad + t;
-                  const NodalSolver::Result res =
-                      fresh->solve(v_in.row_data(b), out.row_data(b), ws);
-                  SolveStatus& s = local[b];
-                  s = SolveStatus{};
-                  s.direct = true;
-                  s.residual = res.residual;
-                  s.converged = res.residual < tol;
-                }
-              });
-            }
+          const auto bad = std::find_if(local.begin(), local.end(),
+                                        [](const SolveStatus& s) { return !s.converged; });
+          if (bad != local.end()) {
+            if (const auto fresh = refactorize_fresh())
+              currents_nodal_batch(*fresh, v_in, static_cast<std::size_t>(bad - local.begin()),
+                                   out, local);
           }
         }
         // A direct solve that misses the tolerance falls back to the

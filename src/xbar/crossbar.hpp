@@ -190,7 +190,8 @@ class Crossbar {
   /// and row b is bit-identical to column_currents(row b of inputs) issued
   /// sequentially in index order (read-noise draws are applied in that order).
   /// In kNodal mode all vectors share one cached factorization and the
-  /// forward/back substitutions run in parallel over the batch via
+  /// forward/back substitutions run in blocks of up to
+  /// NodalSolver::kMaxBlock vectors, in parallel over the blocks via
   /// util::parallel — per-vector results are thread-count invariant.  When
   /// `statuses` is non-null it receives one SolveStatus per batch row.
   MatrixD readout_batch(const MatrixD& inputs,
@@ -253,9 +254,10 @@ class Crossbar {
   /// Iterative red-black Gauss-Seidel path (optionally warm-started).
   std::vector<double> currents_nodal_gs(const std::vector<double>& v_in,
                                         SolveStatus& status) const;
-  /// Factorized multi-RHS path; rhs/out are [batch x rows]/[batch x cols].
-  void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
-                            MatrixD& out, std::vector<SolveStatus>* statuses) const;
+  /// Factorized multi-RHS path over rows [first, batch) of v_in/out
+  /// ([batch x rows]/[batch x cols]), filling the matching statuses.
+  void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in, std::size_t first,
+                            MatrixD& out, std::vector<SolveStatus>& statuses) const;
   /// DAC-quantised, read_voltage-scaled row voltages for one input vector.
   std::vector<double> quantise_input(const std::vector<double>& input) const;
   /// Lazily build (once per programming state) and return the cached direct

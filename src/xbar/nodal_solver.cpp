@@ -2,11 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/counters.hpp"
 #include "util/error.hpp"
 
 namespace xlds::xbar {
+
+namespace {
+
+// Two right-hand-side lanes of one node: the SSE2 / NEON register width.
+// Arithmetic on it is element-wise IEEE mul, sub and div (the target builds
+// with -ffp-contract=off, so `s - a * b` is never fused), hence each lane
+// performs exactly the scalar operations of solve().
+typedef double Lane2 __attribute__((vector_size(16)));
+
+inline Lane2 load2(const double* p) {
+  Lane2 v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void store2(double* p, Lane2 v) { std::memcpy(p, &v, sizeof v); }
+
+inline Lane2 splat2(double a) { return Lane2{a, a}; }
+
+}  // namespace
 
 bool NodalSolver::factorize(const MatrixD& g, double g_wire, std::size_t max_bytes) {
   reset();
@@ -276,6 +297,128 @@ NodalSolver::Result NodalSolver::solve(const double* v_in, double* i_col,
     }
   }
   return res;
+}
+
+void NodalSolver::solve_block(const double* v_in, double* i_col, Result* res, std::size_t k,
+                              Workspace& ws) const {
+  XLDS_REQUIRE_MSG(ready_, "NodalSolver::solve_block before a successful factorize");
+  XLDS_REQUIRE_MSG(k >= 1 && k <= kMaxBlock,
+                   "solve_block takes 1.." << kMaxBlock << " right-hand sides, got " << k);
+  // A lone input gains nothing from lanes: the scalar solve streams the same
+  // factor with no padding lane and half the workspace.
+  if (k == 1) {
+    res[0] = solve(v_in, i_col, ws);
+    return;
+  }
+  switch ((k + 1) / 2) {
+    case 1: solve_lanes<1>(v_in, i_col, res, k, ws); break;
+    case 2: solve_lanes<2>(v_in, i_col, res, k, ws); break;
+    case 3: solve_lanes<3>(v_in, i_col, res, k, ws); break;
+    default: solve_lanes<4>(v_in, i_col, res, k, ws); break;
+  }
+}
+
+template <std::size_t P>
+void NodalSolver::solve_lanes(const double* v_in, double* i_col, Result* res, std::size_t k,
+                              Workspace& ws) const {
+  // Node-major lane block: y[i * S + j] is node i of right-hand side j.  An
+  // odd k leaves one padding lane whose all-zero rhs stays exactly zero.
+  constexpr std::size_t S = 2 * P;
+  const double gw = g_wire_;
+  core::Profiler::count_direct_solve(k);
+
+  ws.y.assign(n_ * S, 0.0);
+  double* y = ws.y.data();
+  for (std::size_t j = 0; j < k; ++j)
+    for (std::size_t r = 0; r < rows_; ++r) y[node_v(r, 0) * S + j] = gw * v_in[j * rows_ + r];
+
+  // Forward substitution L y = b: every lane runs the scalar dot chain
+  // s -= L(i,t) * y(t) in the same t order, P independent vector chains per
+  // factor entry loaded.
+  for (std::size_t i = 0; i < n_; ++i) {
+    const std::size_t si = start_[i];
+    const double* ri = vals_.data() + off_[i];
+    const double* ys = y + si * S;
+    const std::size_t len = i - si;
+    Lane2 s[P];
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < P; ++p) s[p] = load2(y + i * S + 2 * p);
+    for (std::size_t t = 0; t < len; ++t) {
+      const Lane2 a = splat2(ri[t]);
+      const double* yt = ys + t * S;
+#pragma GCC unroll 4
+      for (std::size_t p = 0; p < P; ++p) s[p] -= a * load2(yt + 2 * p);
+    }
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < P; ++p) store2(y + i * S + 2 * p, s[p]);
+  }
+
+  // Diagonal scaling, then back substitution L^T x = y in place (the scalar
+  // path's separate x vector holds the same values element for element).
+  for (std::size_t i = 0; i < n_; ++i) {
+    const Lane2 d = splat2(vals_[off_[i + 1] - 1]);
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < P; ++p) {
+      double* yi = y + i * S + 2 * p;
+      store2(yi, load2(yi) / d);
+    }
+  }
+  for (std::size_t i = n_; i-- > 0;) {
+    const std::size_t si = start_[i];
+    const double* ri = vals_.data() + off_[i];
+    double* xs = y + si * S;
+    const std::size_t len = i - si;
+    Lane2 xi[P];
+#pragma GCC unroll 4
+    for (std::size_t p = 0; p < P; ++p) xi[p] = load2(y + i * S + 2 * p);
+    for (std::size_t t = 0; t < len; ++t) {
+      const Lane2 a = splat2(ri[t]);
+      double* xt = xs + t * S;
+#pragma GCC unroll 4
+      for (std::size_t p = 0; p < P; ++p) store2(xt + 2 * p, load2(xt + 2 * p) - a * xi[p]);
+    }
+  }
+
+  // Residual and column currents, lane by lane with solve()'s expressions;
+  // the currents accumulate over rows in the same order into ws.x.
+  const double* x = y;
+  ws.x.assign(cols_ * S, 0.0);
+  double* acc = ws.x.data();
+  double resid[S] = {};
+  double b_first[S] = {};
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t j = 0; j < k; ++j) b_first[j] = gw * v_in[j * rows_ + r];
+    for (std::size_t c = 0; c < cols_; ++c) {
+      const std::size_t iv = node_v(r, c), iu = node_u(r, c);
+      const double gc = g_(r, c);
+      const double av = adiag_[iv], au = adiag_[iu];
+      const double* xv = x + iv * S;
+      const double* xu = x + iu * S;
+      const double* xl = c > 0 ? x + node_v(r, c - 1) * S : nullptr;
+      const double* xr = c + 1 < cols_ ? x + node_v(r, c + 1) * S : nullptr;
+      const double* xa = r > 0 ? x + node_u(r - 1, c) * S : nullptr;
+      const double* xb = r + 1 < rows_ ? x + node_u(r + 1, c) * S : nullptr;
+      double* ac = acc + c * S;
+      for (std::size_t j = 0; j < S; ++j) {
+        double ax_v = av * xv[j] - gc * xu[j];
+        if (xl != nullptr) ax_v -= gw * xl[j];
+        if (xr != nullptr) ax_v -= gw * xr[j];
+        const double b_v = c == 0 ? b_first[j] : 0.0;
+        double ax_u = au * xu[j] - gc * xv[j];
+        if (xa != nullptr) ax_u -= gw * xa[j];
+        if (xb != nullptr) ax_u -= gw * xb[j];
+        resid[j] = std::max(resid[j], std::abs(b_v - ax_v) / av);
+        resid[j] = std::max(resid[j], std::abs(0.0 - ax_u) / au);
+        ac[j] += gc * (xv[j] - xu[j]);
+      }
+    }
+  }
+  for (std::size_t j = 0; j < k; ++j) {
+    res[j] = Result{};
+    res[j].residual = resid[j];
+    double* out = i_col + j * cols_;
+    for (std::size_t c = 0; c < cols_; ++c) out[c] = acc[c * S + j];
+  }
 }
 
 }  // namespace xlds::xbar

@@ -99,8 +99,10 @@ class NodalSolver {
   /// Per-solve scratch.  Reused across solves to amortise allocation; each
   /// concurrently-solving thread must use its own instance.
   struct Workspace {
-    std::vector<double> x;  ///< node voltages (back-substitution result)
-    std::vector<double> y;  ///< rhs, consumed in place by the forward solve
+    std::vector<double> x;  ///< node voltages (back-substitution result);
+                            ///< column-current sums in solve_block()
+    std::vector<double> y;  ///< rhs, consumed in place by the forward solve;
+                            ///< node-major lane block in solve_block()
   };
 
   struct Result {
@@ -115,7 +117,23 @@ class NodalSolver {
   /// concurrent calls with distinct workspaces are safe and bit-identical.
   Result solve(const double* v_in, double* i_col, Workspace& ws) const;
 
+  /// Most right-hand sides one solve_block() call carries.
+  static constexpr std::size_t kMaxBlock = 8;
+
+  /// Solve k <= kMaxBlock inputs with one forward and one back pass over the
+  /// factor: `v_in` holds k rows of R driver voltages, `i_col` receives k
+  /// rows of C column currents and `res[j]` the residual of input j.  The
+  /// right-hand sides run side by side in vector lanes, and each keeps the
+  /// per-element operation order of solve(), so every current and residual
+  /// is bit-identical to k solve() calls.  k == 1 is served by solve().
+  void solve_block(const double* v_in, double* i_col, Result* res, std::size_t k,
+                   Workspace& ws) const;
+
  private:
+  template <std::size_t P>
+  void solve_lanes(const double* v_in, double* i_col, Result* res, std::size_t k,
+                   Workspace& ws) const;
+
   std::size_t node_v(std::size_t r, std::size_t c) const noexcept {
     return 2 * (row_major_ ? r * cols_ + c : c * rows_ + r);
   }

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/counters.hpp"
 #include "core/pareto.hpp"
 #include "dse/engine.hpp"
 #include "dse/jobspec.hpp"
@@ -352,6 +353,28 @@ TEST(Engine, ThreadCountDoesNotChangeResults) {
   EXPECT_TRUE(same_foms(serial, wide));
   EXPECT_EQ(serial.front, wide.front);
   EXPECT_EQ(serial.ranking, wide.ranking);
+}
+
+TEST(Engine, NodalFactorizationsPerJobDoNotDependOnThreadCount) {
+  // The nodal rung's IR-error memo is single-flight: a cold job factorizes
+  // each device's probe tile once, however many lanes race for it.
+  EngineConfig config;
+  config.strategy = "nsga2";
+  config.budget = 60;
+  config.seed = 7;
+  config.fidelity.max_fidelity = Fidelity::kMonteCarlo;
+  const auto cold_job_factorizations = [&](std::size_t threads) {
+    set_parallel_threads(threads);
+    clear_fidelity_caches();
+    const std::uint64_t before = core::Profiler::nodal().factorizations;
+    (void)explore(config);
+    return core::Profiler::nodal().factorizations - before;
+  };
+  const std::uint64_t serial = cold_job_factorizations(1);
+  const std::uint64_t wide = cold_job_factorizations(4);
+  set_parallel_threads(0);  // restore default
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(serial, wide);
 }
 
 TEST(Engine, SchedulerModeDoesNotChangeResultsOrJournalBytes) {

@@ -1,12 +1,17 @@
 // Tests for the factorization-cached nodal IR-drop solver: agreement with
 // the Gauss-Seidel reference across shapes (including degenerate and
 // non-square arrays, faults and aged cells), the invalidation contract on
-// program/fault/age, batched-vs-single bit-equality, thread-count invariance
-// of readout_batch, and the per-call SolveStatus reporting.
+// program/fault/age, batched-vs-single bit-equality (including the lane-
+// blocked multi-RHS substitution against single solves), thread-count
+// invariance of readout_batch, and the per-call SolveStatus reporting.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
+
+#include "core/counters.hpp"
 
 #include "fault/fault_map.hpp"
 #include "mann/lsh.hpp"
@@ -561,6 +566,143 @@ TEST_F(NodalTest, SolverIsBitwiseDeterministicAcrossInstances) {
   const auto r2 = s2.solve(v_in.data(), i2.data(), w2);
   EXPECT_EQ(r1.residual, r2.residual);
   for (std::size_t c = 0; c < 12; ++c) EXPECT_EQ(i1[c], i2[c]);
+}
+
+// ---- lane-blocked multi-RHS substitution ------------------------------------
+
+// solve_block(k inputs) must reproduce k solve() calls byte for byte: the
+// currents and the residuals, for every block fill k = 1..kMaxBlock.
+void expect_block_matches_singles(const xbar::NodalSolver& solver, std::uint64_t seed) {
+  const std::size_t rows = solver.rows(), cols = solver.cols();
+  constexpr std::size_t kMax = xbar::NodalSolver::kMaxBlock;
+  Rng fill(seed);
+  std::vector<double> v_in(kMax * rows);
+  for (double& v : v_in) v = fill.uniform(0.0, 0.2);
+  for (std::size_t k = 1; k <= kMax; ++k) {
+    std::vector<double> i_block(k * cols, -1.0), i_single(k * cols, -2.0);
+    std::vector<xbar::NodalSolver::Result> r_block(k), r_single(k);
+    xbar::NodalSolver::Workspace ws_block, ws_single;
+    solver.solve_block(v_in.data(), i_block.data(), r_block.data(), k, ws_block);
+    for (std::size_t j = 0; j < k; ++j)
+      r_single[j] = solver.solve(v_in.data() + j * rows, i_single.data() + j * cols, ws_single);
+    EXPECT_EQ(std::memcmp(i_block.data(), i_single.data(), k * cols * sizeof(double)), 0)
+        << rows << 'x' << cols << " currents differ at k = " << k;
+    for (std::size_t j = 0; j < k; ++j)
+      EXPECT_EQ(std::memcmp(&r_block[j].residual, &r_single[j].residual, sizeof(double)), 0)
+          << rows << 'x' << cols << " residual of input " << j << " differs at k = " << k;
+  }
+}
+
+class SolveBlockShapeTest : public NodalTest, public ::testing::WithParamInterface<ShapeCase> {};
+
+TEST_P(SolveBlockShapeTest, BitIdenticalToSingleSolves) {
+  const auto [rows, cols] = GetParam();
+  const device::RramParams p;
+  const MatrixD g = mixed_conductances(rows, cols, p, 211 + rows * 17 + cols);
+  xbar::NodalSolver solver;
+  ASSERT_TRUE(solver.factorize(g, 2.2, std::size_t{1} << 30));
+  expect_block_matches_singles(solver, 301 + rows + cols);
+}
+
+TEST_P(SolveBlockShapeTest, BitIdenticalAfterIncrementalUpdates) {
+  // A factor patched by rank-1 up/down-dates is a different set of bytes
+  // than a fresh one; the blocked pass must still track solve() exactly.
+  const auto [rows, cols] = GetParam();
+  const device::RramParams p;
+  const MatrixD g = mixed_conductances(rows, cols, p, 223 + rows * 17 + cols);
+  xbar::NodalSolver solver;
+  ASSERT_TRUE(solver.factorize(g, 2.2, std::size_t{1} << 30));
+  Rng pick(227);
+  std::vector<xbar::CellDelta> patch;
+  for (int i = 0; i < 3; ++i)
+    patch.push_back({static_cast<std::size_t>(pick.uniform() * rows) % rows,
+                     static_cast<std::size_t>(pick.uniform() * cols) % cols,
+                     pick.uniform(p.g_min, p.g_max)});
+  ASSERT_TRUE(solver.update_cells(patch.data(), patch.size()));
+  ASSERT_GT(solver.updates_applied(), 0u);
+  expect_block_matches_singles(solver, 307 + rows + cols);
+}
+
+// Square, tall (cells ordered row-major) and wide (column-major) arrays.
+INSTANTIATE_TEST_SUITE_P(Shapes, SolveBlockShapeTest,
+                         ::testing::Values(ShapeCase{1, 1}, ShapeCase{3, 7}, ShapeCase{16, 16},
+                                           ShapeCase{64, 64}, ShapeCase{128, 64},
+                                           ShapeCase{32, 128}),
+                         [](const ::testing::TestParamInfo<ShapeCase>& info) {
+                           return std::to_string(info.param.rows) + "x" +
+                                  std::to_string(info.param.cols);
+                         });
+
+TEST_F(NodalTest, SolveBlockRejectsEmptyAndOversizedBlocks) {
+  xbar::NodalSolver solver;
+  ASSERT_TRUE(solver.factorize(MatrixD(4, 4, 1e-5), 1.0, 1u << 20));
+  std::vector<double> v_in(9 * 4, 0.1), i_col(9 * 4);
+  xbar::NodalSolver::Result res[9];
+  xbar::NodalSolver::Workspace ws;
+  EXPECT_THROW(solver.solve_block(v_in.data(), i_col.data(), res, 0, ws), PreconditionError);
+  EXPECT_THROW(solver.solve_block(v_in.data(), i_col.data(), res, 9, ws), PreconditionError);
+}
+
+TEST_F(NodalTest, BatchedDriftRetryMidBlockMatchesSequentialSingles) {
+  // A factor that drifted under incremental updates is caught by the
+  // residual check of the first input whose residual misses the tolerance;
+  // from there the sequential path refactorizes once and every later input
+  // sees the fresh factor.  Here that first miss is input 11 of 16, so the
+  // re-solved tail starts mid-way through the second block of 8.
+  //
+  // Extreme conductances make the drift visible after a single up/down
+  // pair: a 1e2 S excursion on a 1e-9 S network leaves a round-off residue
+  // of order 1e2 * eps in pivots of order 1e-9, well short of breakdown.
+  // The residual it leaves scales with the input: about 1.7e-6 per volt,
+  // so inputs 0..10 (at most 4 mV after the 8-bit DAC) stay under the
+  // 2e-8 V tolerance on the drifted factor and input 11 (>= 100 mV) does not.
+  auto cfg = quiet_config(8, 8);
+  cfg.rram.g_min = 1e-9;
+  cfg.rram.g_max = 1e2;
+  cfg.cell_pitch_f = 1e9 / (2.8e6 * 40e-9);  // 40 nm wire: ~1 GOhm per segment
+  cfg.dac.bits = 8;
+  cfg.nodal_update_limit = 1000;
+  constexpr std::size_t kBatch = 16, kFirstBad = 11;
+  static_assert(kFirstBad % xbar::NodalSolver::kMaxBlock != 0);
+  MatrixD xs(kBatch, 8, 0.0);
+  Rng fill(233);
+  for (std::size_t b = 0; b < kBatch; ++b)
+    for (std::size_t r = 0; r < 8; ++r)
+      xs(b, r) = b < kFirstBad ? fill.uniform(0.0, 0.02) : fill.uniform(0.5, 1.0);
+
+  const auto drifted = [&](Rng& rng) {
+    auto xb = std::make_unique<xbar::Crossbar>(cfg, rng);
+    xb->program_conductances(MatrixD(8, 8, cfg.rram.g_min));
+    (void)xb->column_currents(std::vector<double>(8, 0.0));  // factorize
+    xb->program_cells({{3, 4, cfg.rram.g_max}});
+    xb->program_cells({{3, 4, cfg.rram.g_min}});
+    return xb;
+  };
+
+  Rng r1(239), r2(239);
+  const auto batched = drifted(r1);
+  const auto single = drifted(r2);
+  ASSERT_EQ(batched->nodal_updates_applied(), 2u);
+
+  const std::uint64_t before = core::Profiler::nodal().drift_refactorizations;
+  std::vector<xbar::SolveStatus> statuses;
+  const MatrixD out = batched->readout_batch(xs, &statuses);
+  EXPECT_EQ(core::Profiler::nodal().drift_refactorizations - before, 1u)
+      << "the drift retry did not fire exactly once";
+  EXPECT_EQ(batched->nodal_updates_applied(), 0u);  // the fresh factor replaced it
+  for (std::size_t b = 0; b < kBatch; ++b) {
+    EXPECT_TRUE(statuses[b].direct) << "row " << b;
+    EXPECT_TRUE(statuses[b].converged) << "row " << b;
+  }
+
+  for (std::size_t b = 0; b < kBatch; ++b) {
+    const std::vector<double> x(xs.row_data(b), xs.row_data(b) + 8);
+    xbar::SolveStatus s;
+    const auto i = single->column_currents(x, s);
+    EXPECT_EQ(std::memcmp(out.row_data(b), i.data(), 8 * sizeof(double)), 0) << "row " << b;
+    EXPECT_EQ(std::memcmp(&statuses[b].residual, &s.residual, sizeof(double)), 0)
+        << "row " << b;
+  }
 }
 
 // ---- downstream batch users -------------------------------------------------
