@@ -11,15 +11,18 @@
 // kernel, batched and scalar) at 1/2/4/8 threads and writes
 // BENCH_parallel_sweep.json so the perf trajectory is tracked across PRs.
 //
-// `micro_kernels --kernel-smoke` runs only a ~1 s sanity comparison and exits
-// nonzero if the packed Hamming kernel is slower than the scalar reference —
-// the CI gate against a silently deoptimised kernel layer.
+// `micro_kernels --kernel-smoke` runs only a ~2 s sanity comparison and exits
+// nonzero if the packed Hamming or matvec_t kernel is slower than its scalar
+// path, or if the batched gemm_t is slower per sample than matvec_t or differs
+// from it in any byte — the CI gate against a silently deoptimised or
+// silently wrong kernel layer.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -31,6 +34,7 @@
 #include "kernels/dispatch.hpp"
 #include "kernels/mvm.hpp"
 #include "kernels/sampler.hpp"
+#include "machine.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
@@ -250,6 +254,8 @@ struct KernelComparison {
   const char* scalar_path;
   double scalar_seconds;
   double kernel_seconds;
+  /// Kernel output byte-equal to the scalar path's (rows that compare bytes).
+  std::optional<bool> identical = std::nullopt;
   double speedup() const { return scalar_seconds / kernel_seconds; }
 };
 
@@ -288,6 +294,44 @@ std::vector<KernelComparison> measure_kernels(bool quick) {
     out.push_back({"matvec_t_617x4096", "Matrix::matvec_transposed loop", scalar, kernel});
   }
 
+  {  // Batched encode: one gemm_t over 32 samples vs 32 per-sample matvec_t
+     // calls, both on one lane (a kernel-vs-kernel comparison), with the
+     // outputs compared byte for byte.
+    constexpr std::size_t kRows = 617, kCols = 4096, kBatch = 32;
+    Rng rng(19);
+    std::vector<double> a(kRows * kCols);
+    for (double& v : a) v = rng.bernoulli(0.5) ? 1.0 : -1.0;
+    std::vector<std::vector<double>> x(kBatch, std::vector<double>(kRows));
+    for (auto& row : x)
+      for (double& v : row) v = rng.uniform(-1.0, 1.0);
+    x[3][5] = 0.0;
+    x[7][11] = -0.0;
+    std::vector<std::vector<double>> y(kBatch, std::vector<double>(kCols)), y_ref = y;
+    std::vector<const double*> xp;
+    std::vector<double*> yp;
+    for (std::size_t s = 0; s < kBatch; ++s) {
+      xp.push_back(x[s].data());
+      yp.push_back(y[s].data());
+    }
+    const std::size_t lanes = parallel_thread_count();
+    set_parallel_threads(1);
+    const int iters = 2 * scale;
+    const double scalar = time_best(
+        [&] {
+          for (std::size_t s = 0; s < kBatch; ++s)
+            kernels::matvec_t(a.data(), kRows, kCols, x[s].data(), y_ref[s].data());
+        },
+        iters);
+    const double kernel = time_best(
+        [&] { kernels::gemm_t(a.data(), kRows, kCols, xp.data(), kBatch, yp.data()); }, iters);
+    set_parallel_threads(lanes);
+    bool identical = true;
+    for (std::size_t s = 0; s < kBatch; ++s)
+      identical = identical &&
+                  std::memcmp(y[s].data(), y_ref[s].data(), kCols * sizeof(double)) == 0;
+    out.push_back({"gemm_t_617x4096_b32", "per-sample matvec_t", scalar, kernel, identical});
+  }
+
   {  // Gaussian block: inverse-CDF batch vs per-call polar draws.
     std::vector<double> block(4096);
     Rng rng_a(17), rng_b(17);
@@ -309,7 +353,8 @@ std::vector<KernelComparison> measure_kernels(bool quick) {
 void print_comparisons(const std::vector<KernelComparison>& cs) {
   for (const KernelComparison& c : cs)
     std::cout << "  " << c.name << ": scalar " << c.scalar_seconds * 1e3 << " ms, kernel "
-              << c.kernel_seconds * 1e3 << " ms, speedup " << c.speedup() << "x\n";
+              << c.kernel_seconds * 1e3 << " ms, speedup " << c.speedup() << "x"
+              << (c.identical == false ? ", OUTPUT DIFFERS" : "") << "\n";
 }
 
 void emit_kernels_json() {
@@ -322,33 +367,41 @@ void emit_kernels_json() {
        << "  \"bench\": \"compute_kernel_layer\",\n"
        << "  \"isa\": \"" << kernels::isa_name() << "\",\n"
        << "  \"built_native\": " << (kernels::built_native() ? "true" : "false") << ",\n"
+       << "  \"machine\": " << bench::machine_json() << ",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < cs.size(); ++i) {
     const KernelComparison& c = cs[i];
     json << "    {\"kernel\": \"" << c.name << "\", \"scalar_path\": \"" << c.scalar_path
          << "\", \"scalar_seconds\": " << c.scalar_seconds
-         << ", \"kernel_seconds\": " << c.kernel_seconds << ", \"speedup\": " << c.speedup()
-         << "}" << (i + 1 < cs.size() ? "," : "") << "\n";
+         << ", \"kernel_seconds\": " << c.kernel_seconds << ", \"speedup\": " << c.speedup();
+    if (c.identical) json << ", \"identical\": " << (*c.identical ? "true" : "false");
+    json << "}" << (i + 1 < cs.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
   std::cout << "  -> BENCH_kernels.json\n";
 }
 
-/// CI smoke gate: a fast scalar-vs-kernel comparison; fails (nonzero) if the
-/// packed Hamming kernel has regressed below the scalar reference.
+/// CI smoke gate: a fast scalar-vs-kernel comparison; fails (nonzero) if a
+/// hard-gated kernel has regressed below its scalar path or if any kernel's
+/// output differs from its scalar path.
 int run_kernel_smoke() {
   std::cout << "kernel smoke (isa: " << kernels::isa_name() << "):\n";
   const std::vector<KernelComparison> cs = measure_kernels(/*quick=*/true);
   print_comparisons(cs);
   bool ok = true;
   for (const KernelComparison& c : cs) {
+    if (c.identical == false) {
+      std::cout << "FAIL: " << c.name << " output differs from " << c.scalar_path << "\n";
+      ok = false;
+    }
     if (c.speedup() >= 1.0) continue;
-    // Hard gates: the packed Hamming kernel (compute-bound, large headroom)
-    // and the matvec_t kernel — row blocking gives the latter real daylight
-    // over the legacy loop even on the bandwidth-saturated 617x4096 shape, so
-    // "never slower than scalar" is now enforceable rather than flaky.
+    // Hard gates: the packed Hamming kernel (compute-bound, large headroom),
+    // the matvec_t kernel — row blocking gives it real daylight over the
+    // legacy loop even on the bandwidth-saturated 617x4096 shape — and
+    // gemm_t, which reads the matrix once per batch instead of per sample.
     if (std::strcmp(c.name, "hamming_4096") == 0 ||
-        std::strcmp(c.name, "matvec_t_617x4096") == 0) {
+        std::strcmp(c.name, "matvec_t_617x4096") == 0 ||
+        std::strcmp(c.name, "gemm_t_617x4096_b32") == 0) {
       std::cout << "FAIL: " << c.name << " is slower than its scalar path (speedup "
                 << c.speedup() << "x)\n";
       ok = false;

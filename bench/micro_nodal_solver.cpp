@@ -27,19 +27,15 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "device/technology.hpp"
+#include "machine.hpp"
 #include "util/argparse.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "xbar/crossbar.hpp"
-
-#ifndef XLDS_BUILD_TYPE
-#define XLDS_BUILD_TYPE "unknown"
-#endif
 
 using namespace xlds;
 
@@ -230,16 +226,6 @@ BlockResult run_block(std::size_t n, std::size_t rhs, int repeats, std::uint64_t
   return res;
 }
 
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  for (std::string line; std::getline(in, line);)
-    if (line.rfind("model name", 0) == 0) {
-      const std::size_t colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) return line.substr(colon + 2);
-    }
-  return "unknown";
-}
-
 void print_results(const std::vector<SizeResult>& results) {
   Table table({"array", "queries", "GS cold", "GS warm", "factorize", "per query",
                "batched", "speedup", "batched speedup", "max dev"});
@@ -273,9 +259,7 @@ void emit_json(const std::vector<SizeResult>& results, const std::vector<BlockRe
   json << "{\n"
        << "  \"bench\": \"nodal_solver\",\n"
        << "  \"threads\": " << parallel_thread_count() << ",\n"
-       << "  \"machine\": {\"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ", \"cpu\": \"" << cpu_model() << "\", \"compiler\": \"" << __VERSION__
-       << "\", \"build_type\": \"" << XLDS_BUILD_TYPE << "\"},\n"
+       << "  \"machine\": " << bench::machine_json() << ",\n"
        << "  \"blocked_substitution\": [\n";
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const BlockResult& b = blocks[i];

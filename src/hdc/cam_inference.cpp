@@ -74,13 +74,13 @@ std::size_t HdcCamInference::classify_digits(const std::vector<int>& q, std::siz
 }
 
 std::vector<std::vector<int>> HdcCamInference::query_digits_batch(const MatrixD& xs) const {
-  std::vector<std::vector<int>> out(xs.rows());
   if (!encoder_.has_value()) {
+    std::vector<std::vector<double>> rows(xs.rows());
     for (std::size_t b = 0; b < xs.rows(); ++b)
-      out[b] = model_.query_digits(
-          std::vector<double>(xs.row_data(b), xs.row_data(b) + xs.cols()));
-    return out;
+      rows[b].assign(xs.row_data(b), xs.row_data(b) + xs.cols());
+    return model_.query_digits_batch(rows);
   }
+  std::vector<std::vector<int>> out(xs.rows());
   const MatrixD y = encoder_->mvm_batch(xs);
   const double scale = 1.0 / std::sqrt(static_cast<double>(model_.encoder().input_dim()));
   std::vector<double> row(y.cols());

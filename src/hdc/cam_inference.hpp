@@ -51,9 +51,10 @@ class HdcCamInference {
   double accuracy(const std::vector<std::vector<double>>& xs,
                   const std::vector<std::size_t>& ys, std::size_t votes) const;
 
-  /// Quantised query digits for a batch of inputs [batch x input_dim].  With
-  /// the analog encoder the projections run through the tile fleet's batched
-  /// MVM — parallel across tiles yet bit-identical to per-row encodes at any
+  /// Quantised query digits for a batch of inputs [batch x input_dim].  The
+  /// software encoder runs HdcModel::query_digits_batch (one encode_batch);
+  /// with the analog encoder the projections run through the tile fleet's
+  /// batched MVM — parallel across tiles yet bit-identical to per-row encodes at any
   /// thread count; the CAM search stage stays per-query (it consumes the CAM
   /// sense-noise RNG, which must advance in request order).
   std::vector<std::vector<int>> query_digits_batch(const MatrixD& xs) const;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,11 @@ class Encoder {
   /// Real-valued hypervector for a feature vector.
   virtual std::vector<double> encode(const std::vector<double>& x) const = 0;
 
+  /// Hypervectors for a whole split, on all util::parallel lanes: out[i] is
+  /// byte-equal to encode(xs[i]) at any thread count.
+  virtual std::vector<std::vector<double>> encode_batch(
+      const std::vector<std::vector<double>>& xs) const = 0;
+
   /// Equivalent MAC count of one encode (for the architecture models).
   virtual std::size_t macs() const = 0;
 };
@@ -41,6 +47,10 @@ class HdcEncoder final : public Encoder {
 
   /// Real-valued hypervector: y = P x / sqrt(input_dim).
   std::vector<double> encode(const std::vector<double>& x) const override;
+
+  /// The whole batch through one kernels::gemm_t (P read once per call).
+  std::vector<std::vector<double>> encode_batch(
+      const std::vector<std::vector<double>>& xs) const override;
 
   /// The projection matrix as signed weights in [-1, 1] (rows = input_dim,
   /// cols = hv_dim) — directly programmable into a TiledCrossbar.
@@ -60,6 +70,12 @@ class HdcEncoder final : public Encoder {
 /// values share most elements); the record is the sum of ID (x) LEVEL binds.
 /// Bind is elementwise multiply, so the whole encode is add/multiply only —
 /// the scheme hardware prefers when no MVM engine is available.
+///
+/// Every bind product is +-1, so each record element is the exact integer
+/// input_dim - 2 * (number of features whose ID and LEVEL signs differ).  The
+/// hypervectors are stored as sign bytes and encode counts those mismatches
+/// (kernels::count_sign_mismatches), then scales the integer once — the same
+/// double the +-1.0 multiply-add chain produced, in any order.
 class IdLevelEncoder final : public Encoder {
  public:
   /// `quant_levels` level hypervectors span the [lo, hi] input range.
@@ -70,6 +86,8 @@ class IdLevelEncoder final : public Encoder {
   std::size_t hv_dim() const override { return hv_dim_; }
 
   std::vector<double> encode(const std::vector<double>& x) const override;
+  std::vector<std::vector<double>> encode_batch(
+      const std::vector<std::vector<double>>& xs) const override;
 
   std::size_t macs() const override { return input_dim_ * hv_dim_; }
 
@@ -81,12 +99,15 @@ class IdLevelEncoder final : public Encoder {
   double level_similarity(std::size_t a, std::size_t b) const;
 
  private:
+  /// Encode n feature vectors (input_dim values each) into ys (hv_dim each).
+  void encode_into(const double* const* xs, std::size_t n, double* const* ys) const;
+
   std::size_t input_dim_;
   std::size_t hv_dim_;
   std::size_t quant_levels_;
   double lo_, hi_;
-  std::vector<std::vector<double>> ids_;     ///< [input_dim][hv_dim], +-1
-  std::vector<std::vector<double>> levels_;  ///< [quant_levels][hv_dim], +-1
+  std::vector<std::uint8_t> ids_;     ///< [input_dim x hv_dim] sign bytes, 1 = +1
+  std::vector<std::uint8_t> levels_;  ///< [quant_levels x hv_dim] sign bytes, 1 = +1
 };
 
 /// Uniform quantiser for hypervector elements: maps reals in [-range, range]

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "kernels/bitpack.hpp"
 #include "kernels/mvm.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace xlds::hdc {
@@ -101,6 +103,14 @@ std::vector<double> HdcModel::centred(const std::vector<double>& x) const {
   return out;
 }
 
+std::vector<std::vector<double>> HdcModel::centred(
+    const std::vector<std::vector<double>>& xs) const {
+  std::vector<std::vector<double>> out;
+  out.reserve(xs.size());
+  for (const std::vector<double>& x : xs) out.push_back(centred(x));
+  return out;
+}
+
 void HdcModel::train(const std::vector<std::vector<double>>& xs,
                      const std::vector<std::size_t>& ys) {
   XLDS_REQUIRE(xs.size() == ys.size());
@@ -125,12 +135,12 @@ void HdcModel::train(const std::vector<std::vector<double>>& xs,
     feature_inv_std_[d] = sd > 1e-12 ? 1.0 / sd : 1.0;
   }
 
-  // Pass 1: bundle and collect element statistics for the quantiser range.
-  std::vector<std::vector<double>> encoded(xs.size());
+  // Pass 1: encode the split in one batch, then bundle and collect element
+  // statistics for the quantiser range in sample order.
+  for (std::size_t y : ys) XLDS_REQUIRE(y < n_classes_);
+  const std::vector<std::vector<double>> encoded = encoder_->encode_batch(centred(xs));
   RunningStats element_stats;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    XLDS_REQUIRE(ys[i] < n_classes_);
-    encoded[i] = encoder_->encode(centred(xs[i]));
     for (double v : encoded[i]) element_stats.add(v);
     auto& a = acc_[ys[i]];
     for (std::size_t d = 0; d < config_.hv_dim; ++d) a[d] += encoded[i][d];
@@ -227,14 +237,18 @@ std::size_t HdcModel::classify_encoded(const std::vector<double>& y) const {
         }
         break;
       }
+      // Multi-bit digits: every delta^2 is an exact integer below 2^32, so
+      // the integer sum is the double sum the scalar loop produced as long
+      // as it stays below 2^53 (hv_dim < 2^21 at 16 bits).
       for (std::size_t cls = 0; cls < n_classes_; ++cls) {
         const int* __restrict pd = digits_[cls].data();
         const int* __restrict pq = qd.data();
-        double dist = 0.0;
+        std::int64_t sum = 0;
         for (std::size_t d = 0; d < config_.hv_dim; ++d) {
-          const double delta = static_cast<double>(pq[d] - pd[d]);
-          dist += delta * delta;
+          const std::int64_t delta = pq[d] - pd[d];
+          sum += delta * delta;
         }
+        const double dist = static_cast<double>(sum);
         if (-dist > best_score) {
           best_score = -dist;
           best = cls;
@@ -255,9 +269,13 @@ double HdcModel::accuracy(const std::vector<std::vector<double>>& xs,
                           const std::vector<std::size_t>& ys) const {
   XLDS_REQUIRE(xs.size() == ys.size());
   XLDS_REQUIRE(!xs.empty());
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    if (classify(xs[i]) == ys[i]) ++correct;
+  XLDS_REQUIRE_MSG(trained_, "classify before train()");
+  const std::vector<std::vector<double>> encoded = encoder_->encode_batch(centred(xs));
+  const std::vector<unsigned char> hit =
+      parallel_map<unsigned char>(xs.size(), [&](std::size_t i) -> unsigned char {
+        return classify_encoded(encoded[i]) == ys[i];
+      });
+  const auto correct = static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 1));
   return static_cast<double>(correct) / static_cast<double>(xs.size());
 }
 
@@ -271,6 +289,16 @@ std::vector<int> HdcModel::query_digits(const std::vector<double>& x) const {
   XLDS_REQUIRE_MSG(trained_, "query_digits before train()");
   const ElementQuantiser q(config_.element_bits, quant_range_);
   return q.digits(encoder_->encode(centred(x)));
+}
+
+std::vector<std::vector<int>> HdcModel::query_digits_batch(
+    const std::vector<std::vector<double>>& xs) const {
+  XLDS_REQUIRE_MSG(trained_, "query_digits before train()");
+  const ElementQuantiser q(config_.element_bits, quant_range_);
+  const std::vector<std::vector<double>> encoded = encoder_->encode_batch(centred(xs));
+  std::vector<std::vector<int>> out(encoded.size());
+  for (std::size_t i = 0; i < encoded.size(); ++i) out[i] = q.digits(encoded[i]);
+  return out;
 }
 
 const std::vector<double>& HdcModel::class_accumulator(std::size_t cls) const {

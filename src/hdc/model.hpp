@@ -65,6 +65,11 @@ class HdcModel {
   /// Quantised query hypervector.
   std::vector<int> query_digits(const std::vector<double>& x) const;
 
+  /// Quantised query hypervectors for a batch, encoded in one
+  /// Encoder::encode_batch call: out[i] equals query_digits(xs[i]).
+  std::vector<std::vector<int>> query_digits_batch(
+      const std::vector<std::vector<double>>& xs) const;
+
   /// Real (pre-quantisation) class hypervector, normalised by sample count.
   const std::vector<double>& class_accumulator(std::size_t cls) const;
 
@@ -86,6 +91,7 @@ class HdcModel {
   /// the class signal), fully z-scored for the record encoder (whose level
   /// quantiser needs a known dynamic range).
   std::vector<double> centred(const std::vector<double>& x) const;
+  std::vector<std::vector<double>> centred(const std::vector<std::vector<double>>& xs) const;
 
   HdcConfig config_;
   std::size_t n_classes_;

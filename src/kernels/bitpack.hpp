@@ -65,6 +65,20 @@ std::size_t hamming_ref(const double* a, const double* b, std::size_t n);
 std::size_t hamming_digits_ref(const int* a, const int* b, std::size_t n);
 
 // ---------------------------------------------------------------------------
+// Sign bytes: one ±1 element per byte (1 = +1, 0 = -1).
+
+/// Bipolar bind-and-bundle count, the ID x LEVEL record encoder's inner loop.
+/// `ids` holds `n_rows` sign-byte rows of `cols` bytes; `levels` holds level
+/// rows in the same layout, and sample s binds row k of `ids` with row
+/// level_rows[s * n_rows + k] of `levels`.  counts[s * cols + c] receives the
+/// number of rows k whose two signs differ at column c.  The bound product is
+/// -1 exactly there and +1 elsewhere, so the bundled element is the exact
+/// integer n_rows - 2 * count, whatever order the +-1 terms are added in.
+void count_sign_mismatches(const std::uint8_t* ids, const std::uint8_t* levels,
+                           const std::uint32_t* level_rows, std::size_t n_rows, std::size_t cols,
+                           std::size_t n_samples, std::uint32_t* counts);
+
+// ---------------------------------------------------------------------------
 // Ternary signatures (binary value + don't-care mask).
 
 /// Packed ternary word: value plane + care plane (bit clear = don't-care).

@@ -28,15 +28,24 @@ void matvec_t(const double* a, std::size_t rows, std::size_t cols, const double*
 void matvec_t_ref(const double* a, std::size_t rows, std::size_t cols, const double* x,
                   double* y);
 
+/// Batched matvec_t: y_s = A^T x_s for n samples, i.e. ys[s][c] =
+/// sum_r A[r][c] * xs[s][r] for row-major A[rows x cols], each xs[s] holding
+/// `rows` inputs and each ys[s] `cols` outputs (fully overwritten).  Every
+/// ys[s] is byte-equal to matvec_t_ref on xs[s] — the same left-associative,
+/// row-ascending chain from +0.0 and the same per-sample skip of zero inputs —
+/// at any n and any thread count.  A register-blocked micro-kernel keeps a
+/// block of samples' accumulators in registers across the whole row loop, and
+/// util::parallel lanes split the columns, so A is read once per call instead
+/// of once per sample.
+void gemm_t(const double* a, std::size_t rows, std::size_t cols, const double* const* xs,
+            std::size_t n, double* const* ys);
+
 /// y = A x for row-major A[rows x cols]: y[r] = dot(A[r], x).
 void matvec(const double* a, std::size_t rows, std::size_t cols, const double* x, double* y);
 
 /// Strict left-to-right dot product (single accumulator — the exact order the
 /// scalar similarity loops used, so scores stay bit-identical).
 double dot(const double* a, const double* b, std::size_t n);
-
-/// y[i] += a[i] * b[i] — the bind-and-bundle inner loop of ID×LEVEL encoding.
-void mul_add(const double* a, const double* b, double* y, std::size_t n);
 
 /// y[i] = x[i] * s.
 void scale(const double* x, double s, double* y, std::size_t n);

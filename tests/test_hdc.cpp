@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "hdc/cam_inference.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/model.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "workload/dataset.hpp"
 
 namespace xlds::hdc {
@@ -128,6 +132,103 @@ TEST(IdLevelEncoder, ModelTrainsAboveChanceWithRecordEncoding) {
   EXPECT_GT(model.accuracy(ds.test_x, ds.test_y), 0.6);
 }
 
+// ---- batched encode -----------------------------------------------------------
+
+void expect_batch_equals_singles(const Encoder& enc, const std::vector<std::vector<double>>& xs) {
+  const std::vector<std::vector<double>> batch = enc.encode_batch(xs);
+  ASSERT_EQ(batch.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::vector<double> single = enc.encode(xs[i]);
+    ASSERT_EQ(batch[i].size(), single.size());
+    EXPECT_EQ(std::memcmp(batch[i].data(), single.data(), single.size() * sizeof(double)), 0)
+        << "sample " << i;
+  }
+}
+
+TEST(EncodeBatch, ByteEqualToEncodeForBothEncoders) {
+  Rng data(40);
+  // 11 samples: ragged register blocks and parallel chunks.  Zero and
+  // negative-zero features exercise the projection's per-sample row skip
+  // and the record encoder's level lookup.
+  std::vector<std::vector<double>> xs(11, std::vector<double>(37));
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    for (std::size_t f = 0; f < xs[i].size(); ++f) {
+      const std::size_t k = (i + 5 * f) % 9;
+      xs[i][f] = k == 0 ? 0.0 : k == 1 ? -0.0 : data.uniform(-2.0, 2.0);
+    }
+  xs[3].assign(37, 0.0);
+  Rng rng_p(41), rng_r(42);
+  expect_batch_equals_singles(HdcEncoder(37, 1030, rng_p), xs);
+  expect_batch_equals_singles(IdLevelEncoder(37, 1030, 16, rng_r, -2.0, 2.0), xs);
+  Rng rng_e(43);
+  EXPECT_TRUE(HdcEncoder(37, 64, rng_e).encode_batch({}).empty());
+}
+
+TEST(EncodeBatch, RejectsWrongWidth) {
+  Rng rng(44);
+  HdcEncoder enc(8, 32, rng);
+  EXPECT_THROW(enc.encode_batch({std::vector<double>(8), std::vector<double>(7)}),
+               PreconditionError);
+}
+
+// ---- golden hashes: the isolet-like paper configuration ----------------------
+//
+// Recorded on the per-sample encoders (P x via matvec_t, the record encoder as
+// a chain of +-1.0 multiply-adds) and checked at 1, 4 and 8 lanes: the
+// batched GEMM, the integer record count and the integer squared-Euclidean
+// distance must reproduce every byte.
+
+std::uint64_t hash_rows(const std::vector<std::vector<double>>& rows) {
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (const auto& r : rows) h = util::fnv1a64(r.data(), r.size() * sizeof(double), h);
+  return h;
+}
+
+struct IsoletHashes {
+  std::uint64_t encodings;  ///< the encoder over the z-scored test split
+  std::uint64_t model;      ///< trained class digits, then test accuracy
+};
+
+IsoletHashes isolet_hashes(EncoderKind kind) {
+  const workload::Dataset raw = workload::make_named_dataset("isolet-like", 1);
+  const workload::Dataset z = workload::standardised(raw);
+  HdcConfig cfg;
+  cfg.encoder = kind;
+  Rng rng(1);
+  HdcModel model(cfg, raw.dim, raw.n_classes, rng);
+  IsoletHashes h{};
+  h.encodings = hash_rows(model.encoder().encode_batch(z.test_x));
+  model.train(raw.train_x, raw.train_y);
+  h.model = util::kFnvOffsetBasis;
+  for (std::size_t c = 0; c < model.n_classes(); ++c) {
+    const std::vector<int> d = model.class_digits(c);
+    h.model = util::fnv1a64(d.data(), d.size() * sizeof(int), h.model);
+  }
+  const double acc = model.accuracy(raw.test_x, raw.test_y);
+  h.model = util::fnv1a64(&acc, sizeof acc, h.model);
+  return h;
+}
+
+class GoldenHashes : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override { set_parallel_threads(GetParam()); }
+  void TearDown() override { set_parallel_threads(0); }
+};
+
+TEST_P(GoldenHashes, ProjectionEncodingsDigitsAndAccuracy) {
+  const IsoletHashes h = isolet_hashes(EncoderKind::kRandomProjection);
+  EXPECT_EQ(h.encodings, 0xcde29800a4ef4882ull);
+  EXPECT_EQ(h.model, 0x6cf4084f141174c6ull);
+}
+
+TEST_P(GoldenHashes, IdLevelEncodingsDigitsAndAccuracy) {
+  const IsoletHashes h = isolet_hashes(EncoderKind::kIdLevel);
+  EXPECT_EQ(h.encodings, 0x999e30d80ff8f469ull);
+  EXPECT_EQ(h.model, 0xd055125f5825d1a4ull);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, GoldenHashes, ::testing::Values(1u, 4u, 8u));
+
 // ---- quantiser -------------------------------------------------------------
 
 TEST(Quantiser, DigitsCoverRangeAndClamp) {
@@ -240,6 +341,43 @@ TEST(HdcModel, SimilarityVariantsAllWork) {
     model.train(ds.train_x, ds.train_y);
     EXPECT_GT(model.accuracy(ds.test_x, ds.test_y), 0.6)
         << "similarity variant " << static_cast<int>(sim);
+  }
+}
+
+TEST(HdcModel, MultiBitSquaredEuclideanMatchesDoubleReference) {
+  // The integer distance must pick exactly the class the double-accumulated
+  // squared-Euclidean loop picks (first minimum wins), at 3 bits and at 16
+  // bits, where delta^2 reaches 2^32 and the sums overflow 32-bit integers.
+  const auto ds = small_dataset(12);
+  for (int bits : {3, 16}) {
+    Rng rng(13);
+    HdcModel model(small_config(bits), ds.dim, ds.n_classes, rng);
+    model.train(ds.train_x, ds.train_y);
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < ds.test_x.size(); ++i) {
+      const std::vector<int> q = model.query_digits(ds.test_x[i]);
+      std::size_t best = 0;
+      double best_score = -HUGE_VAL;
+      for (std::size_t cls = 0; cls < ds.n_classes; ++cls) {
+        const std::vector<int> d = model.class_digits(cls);
+        double dist = 0.0;
+        for (std::size_t k = 0; k < q.size(); ++k) {
+          const double delta = static_cast<double>(q[k] - d[k]);
+          dist += delta * delta;
+        }
+        if (-dist > best_score) {
+          best_score = -dist;
+          best = cls;
+        }
+      }
+      EXPECT_EQ(model.classify(ds.test_x[i]), best) << bits << " bits, sample " << i;
+      if (best == ds.test_y[i]) ++correct;
+    }
+    EXPECT_EQ(model.accuracy(ds.test_x, ds.test_y),
+              static_cast<double>(correct) / static_cast<double>(ds.test_x.size()));
+    const std::vector<std::vector<int>> batch = model.query_digits_batch(ds.test_x);
+    for (std::size_t i = 0; i < ds.test_x.size(); ++i)
+      EXPECT_EQ(batch[i], model.query_digits(ds.test_x[i])) << bits << " bits, sample " << i;
   }
 }
 

@@ -4,12 +4,14 @@
 // match the scalar digit/sign loops bit-for-bit, the tiled MVM must produce
 // the exact doubles of the naive reference (same accumulation order), and the
 // sequence-compatible samplers must consume the Rng exactly as the per-call
-// loops they replace.  Edge cases the packing must survive: dimensions that
+// loops they replace; the batched gemm_t must reproduce matvec_t_ref's bytes
+// per sample.  Edge cases the packing must survive: dimensions that
 // are not multiples of 64, zero-length vectors, and the all-ties sign vector.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "cam/types.hpp"
@@ -114,6 +116,36 @@ TEST(Bitpack, MismatchedLengthsRejected) {
 
 // ---- ternary signatures ----------------------------------------------------
 
+TEST(Bitpack, CountSignMismatchesMatchesScalarBind) {
+  Rng rng(29);
+  // 301 rows cross the 254-row byte-counter flush and leave an odd last
+  // row; 4100 columns cross the 4096-column tile with a remainder that is
+  // not a whole 16-byte vector.
+  const std::size_t rows = 301, cols = 4100, n_levels = 5, samples = 3;
+  std::vector<std::uint8_t> ids(rows * cols), levels(n_levels * cols);
+  kernels::fill_bernoulli(rng, ids.data(), ids.size(), 0.5);
+  kernels::fill_bernoulli(rng, levels.data(), levels.size(), 0.5);
+  std::vector<std::uint32_t> level_rows(samples * rows);
+  for (auto& l : level_rows) l = rng.uniform_u32(n_levels);
+  std::vector<std::uint32_t> counts(samples * cols);
+  kernels::count_sign_mismatches(ids.data(), levels.data(), level_rows.data(), rows, cols,
+                                 samples, counts.data());
+  for (std::size_t s = 0; s < samples; ++s)
+    for (std::size_t c = 0; c < cols; ++c) {
+      // The +-1.0 bind-and-bundle chain the record encoder used to run.
+      double sum = 0.0;
+      for (std::size_t k = 0; k < rows; ++k) {
+        const double id = ids[k * cols + c] ? 1.0 : -1.0;
+        const double lv = levels[level_rows[s * rows + k] * cols + c] ? 1.0 : -1.0;
+        sum += id * lv;
+      }
+      const std::int64_t mismatches = counts[s * cols + c];
+      const double from_count =
+          static_cast<double>(static_cast<std::int64_t>(rows) - 2 * mismatches);
+      ASSERT_EQ(from_count, sum) << "sample " << s << " col " << c;
+    }
+}
+
 TEST(Ternary, DistanceMatchesSignatureDistance) {
   Rng rng(13);
   for (std::size_t n : {1u, 63u, 64u, 65u, 200u}) {
@@ -160,6 +192,53 @@ TEST(Mvm, TiledMatchesReferenceExactly) {
   }
 }
 
+TEST(Mvm, GemmTMatchesMatvecTRefExactly) {
+  Rng rng(23);
+  // 617x4096 is the isolet encoder; 13x1000 and 3x7 leave ragged column
+  // panels; every sample count 1..9 leaves ragged sample blocks.
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 1}, {3, 7}, {13, 1000}, {617, 4096}};
+  for (const auto& [rows, cols] : shapes) {
+    std::vector<double> a(rows * cols);
+    for (auto& v : a) v = rng.uniform(-1.0, 1.0);
+    for (std::size_t n = 1; n <= 9; ++n) {
+      std::vector<std::vector<double>> x(n, std::vector<double>(rows));
+      for (std::size_t s = 0; s < n; ++s)
+        for (std::size_t r = 0; r < rows; ++r) {
+          // Zero and negative-zero inputs on some rows of some samples: the
+          // reference skips those rows per sample, and a -0.0 product can
+          // flip a +0.0 sum, so a blocked kernel must skip them too.
+          const std::size_t k = (s * 7 + r * 3) % 11;
+          x[s][r] = k == 0 ? 0.0 : k == 1 ? -0.0 : rng.uniform(-1.0, 1.0);
+        }
+      std::vector<std::vector<double>> y(n, std::vector<double>(cols, 42.0));
+      std::vector<const double*> xp(n);
+      std::vector<double*> yp(n);
+      for (std::size_t s = 0; s < n; ++s) {
+        xp[s] = x[s].data();
+        yp[s] = y[s].data();
+      }
+      kernels::gemm_t(a.data(), rows, cols, xp.data(), n, yp.data());
+      std::vector<double> ref(cols);
+      for (std::size_t s = 0; s < n; ++s) {
+        kernels::matvec_t_ref(a.data(), rows, cols, x[s].data(), ref.data());
+        EXPECT_EQ(std::memcmp(y[s].data(), ref.data(), cols * sizeof(double)), 0)
+            << rows << 'x' << cols << " n=" << n << " sample " << s;
+      }
+    }
+  }
+  // All-zero and negative-zero-only inputs: every output is the reference's
+  // untouched +0.0.
+  const std::vector<double> a = {1.0, -2.0, 3.0, -4.0, 5.0, -6.0};
+  const std::vector<double> zeros = {0.0, -0.0};
+  std::vector<double> y(3, 7.0), ref(3);
+  const double* xp = zeros.data();
+  double* yp = y.data();
+  kernels::gemm_t(a.data(), 2, 3, &xp, 1, &yp);
+  kernels::matvec_t_ref(a.data(), 2, 3, zeros.data(), ref.data());
+  EXPECT_EQ(std::memcmp(y.data(), ref.data(), sizeof(double) * 3), 0);
+}
+
 TEST(Mvm, DotMatchesPlainLoop) {
   Rng rng(19);
   std::vector<double> a(777), b(777);
@@ -193,9 +272,6 @@ TEST(Mvm, SmallHelpers) {
   EXPECT_EQ(z[0], 6.0 - (-3.0));
   EXPECT_EQ(z[1], 2.0 - (-1.0));
 
-  kernels::mul_add(v.data(), v.data(), z.data(), 2);
-  EXPECT_EQ(z[0], 9.0 + 9.0);
-  EXPECT_EQ(z[1], 3.0 + 1.0);
 }
 
 // ---- samplers --------------------------------------------------------------
