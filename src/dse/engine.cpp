@@ -142,15 +142,15 @@ class Backend final : public EvaluationBackend {
     }
 
     // Pass 2: serve the misses.  Three sources, cheapest first — the
-    // persistent cross-run cache, then the shard pool (or the in-process
-    // thread pool) for whatever remains.  The FOM of a (point, tier) pair is
-    // a pure function of the job and cached values are stored bit-exactly,
-    // so neither the cache state nor the shard layout can change values,
-    // only wall clock.  Dispatch is cost-aware: longest-processing-time-
-    // first by the ladder's charge estimate, so the expensive points (MC
-    // probes, first nodal solves) enter the scheduler ahead of the cheap
-    // tail and idle lanes (or shards) steal the tail behind them.  Results
-    // land in original-order slots and the memo/journal loop below walks
+    // persistent cross-run cache, then the shard pool (or one in-process
+    // ladder batch) for whatever remains.  The FOM of a (point, tier) pair
+    // is a pure function of the job and cached values are stored
+    // bit-exactly, so neither the cache state nor the shard layout can
+    // change values, only wall clock.  Shard dispatch is cost-aware:
+    // longest-processing-time-first by the ladder's charge estimate, so the
+    // points that may build an artifact (MC probes, first nodal solves)
+    // reach the workers ahead of the cheap tail.  Results land in
+    // original-order slots and the memo/journal loop below walks
     // `to_compute` order, so every journal byte is placement-, shard- and
     // cache-invariant.
     if (!to_compute.empty()) {
@@ -194,18 +194,16 @@ class Backend final : public EvaluationBackend {
         core::Profiler::add_nodal(batch.nodal);
         core::Profiler::add_sched(batch.sched);
       } else if (!pending.empty()) {
-        parallel_for(pending.size(), 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t j = pending[k];
-            const auto t0 = std::chrono::steady_clock::now();
-            foms[j] = ladder_.evaluate(space_.at(to_compute[j]), tier);
-            busy_ns_[static_cast<std::size_t>(tier)].fetch_add(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count(),
-                std::memory_order_relaxed);
-          }
-        });
+        // One ladder batch over the misses: each shared artifact they need
+        // is built once, concurrently with the others, before the per-point
+        // refinements read it.
+        std::vector<core::DesignPoint> points;
+        points.reserve(pending.size());
+        for (const std::size_t j : pending) points.push_back(space_.at(to_compute[j]));
+        std::uint64_t busy_ns = 0;
+        std::vector<core::Fom> batch = ladder_.evaluate_batch(points, tier, &busy_ns);
+        for (std::size_t k = 0; k < pending.size(); ++k) foms[pending[k]] = std::move(batch[k]);
+        busy_ns_[static_cast<std::size_t>(tier)].fetch_add(busy_ns, std::memory_order_relaxed);
       }
       for (std::size_t j = 0; j < to_compute.size(); ++j) {
         memo_[pair_key(to_compute[j], tier)] = foms[j];
@@ -388,8 +386,8 @@ class Backend final : public EvaluationBackend {
   shard::ResultCache* cache_;
   std::uint64_t cache_space_hash_;
   ExplorationStats stats_;
-  /// Wall time lanes spent inside ladder/predict calls, per tier (relaxed
-  /// accumulation across lanes; diagnostics only).
+  /// Wall time lanes spent inside ladder batches (all three stages) and
+  /// predict calls, per tier (relaxed accumulation; diagnostics only).
   std::array<std::atomic<std::uint64_t>, kFidelityTiers> busy_ns_{};
 };
 

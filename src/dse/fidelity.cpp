@@ -1,11 +1,15 @@
 #include "dse/fidelity.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <tuple>
 
 #include "dse/space.hpp"
@@ -14,6 +18,7 @@
 #include "nvsim/explorer.hpp"
 #include "util/error.hpp"
 #include "util/matrix.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
 
@@ -31,11 +36,51 @@ bool uses_cam(core::ArchKind a) {
 
 bool is_in_memory(core::ArchKind a) { return uses_crossbar(a) || uses_cam(a); }
 
+bool is_hdc_or_mann(core::AlgoKind a) {
+  return a == core::AlgoKind::kHdc || a == core::AlgoKind::kMann;
+}
+
+// Narrowest matchline the nodal rung accepts under device variation.
+constexpr std::size_t kMinMatchlineColumns = 16;
+
 std::string percent(double fraction) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.1f", 100.0 * fraction);
   return buf;
 }
+
+// --- the ladder's one memo: process-wide, single-flight per key -----------
+//
+// The first caller computes outside the map lock; concurrent callers for the
+// same key wait on its once_flag instead of recomputing (so a job's
+// factorization count cannot depend on the thread count); different keys
+// compute concurrently.  No mutex is held while a value computes.  The
+// shared_ptr keeps a slot alive across a concurrent clear().
+template <class Key, class Value>
+class SingleFlight {
+ public:
+  template <class Compute>
+  Value get(const Key& key, Compute&& compute) {
+    std::shared_ptr<Slot> slot;
+    {
+      std::lock_guard<std::mutex> lk(mutex_);
+      std::shared_ptr<Slot>& entry = slots_[key];
+      if (entry == nullptr) entry = std::make_shared<Slot>();
+      slot = entry;
+    }
+    std::call_once(slot->once, [&] { slot->value = compute(); });
+    return slot->value;
+  }
+  void clear() {
+    std::lock_guard<std::mutex> lk(mutex_);
+    slots_.clear();
+  }
+
+ private:
+  struct Slot { std::once_flag once; Value value{}; };
+  std::mutex mutex_;
+  std::map<Key, std::shared_ptr<Slot>> slots_;
+};
 
 // --- nodal tier: IR-drop model error on the canonical 64x64 tile ----------
 //
@@ -45,12 +90,7 @@ std::string percent(double fraction) {
 // (unmodelled IR drop is computation error, not just delay).  One solve per
 // device kind, memoised process-wide: the solve is a pure function of the
 // device, and a search promotes many points per device.
-struct IrErrorSlot {
-  std::once_flag once;
-  double err = 0.0;
-};
-std::mutex g_ir_cache_mutex;
-std::map<int, std::shared_ptr<IrErrorSlot>> g_ir_error_cache;
+SingleFlight<device::DeviceKind, double> g_ir_errors;
 
 constexpr std::uint64_t kTileSeed = 0x9e3779b97f4a7c15ull;
 
@@ -98,42 +138,18 @@ double nodal_ir_error_uncached(device::DeviceKind dev) {
 }
 
 double nodal_ir_error(device::DeviceKind dev) {
-  // Single-flight per device: the first caller computes, concurrent callers
-  // for the same device wait on its once_flag instead of each factorizing the
-  // tile (which made a job's factorization count depend on the thread count),
-  // and different devices still compute in parallel.  The map lock only
-  // guards the lookup; the shared_ptr keeps a slot alive across a concurrent
-  // clear_fidelity_caches().
-  std::shared_ptr<IrErrorSlot> slot;
-  {
-    std::lock_guard<std::mutex> lk(g_ir_cache_mutex);
-    auto& entry = g_ir_error_cache[static_cast<int>(dev)];
-    if (entry == nullptr) entry = std::make_shared<IrErrorSlot>();
-    slot = entry;
-  }
-  std::call_once(slot->once, [&] { slot->err = nodal_ir_error_uncached(dev); });
-  return slot->err;
+  return g_ir_errors.get(dev, [dev] { return nodal_ir_error_uncached(dev); });
 }
 
 // --- Monte-Carlo tier: resilience probe, memoised per (rate, age, seed) ---
-std::mutex g_probe_mutex;
-std::map<std::tuple<double, double, std::uint64_t>, fault::ResilienceReport> g_probe_cache;
+SingleFlight<std::tuple<double, double, std::uint64_t>, fault::ResilienceReport> g_probes;
 
-const fault::ResilienceReport& probe_report(double rate, double age_s, std::uint64_t seed) {
-  std::lock_guard<std::mutex> lk(g_probe_mutex);
-  const auto key = std::make_tuple(rate, age_s, seed);
-  auto it = g_probe_cache.find(key);
-  if (it == g_probe_cache.end()) {
-    // Computed under the lock: the probe runs once per ladder config.  Its
-    // nested parallel_for now runs *cooperatively* on the shared pool, which
-    // is still deadlock-free while we hold the lock: the scheduler's
-    // fully-strict helping rule means this thread only ever executes subtasks
-    // of the probe job it is waiting on — never a sibling batch unit that
-    // could re-enter probe_report() and try to take g_probe_mutex again.
-    fault::ResilienceEvaluator probe(fault::dse_probe_config(rate, age_s, seed));
-    it = g_probe_cache.emplace(key, probe.run()).first;
-  }
-  return it->second;
+fault::ResilienceReport probe_report(const FidelityConfig& c) {
+  return g_probes.get({c.mc_fault_rate, c.mc_age_s, c.mc_seed}, [&c] {
+    return fault::ResilienceEvaluator(
+               fault::dse_probe_config(c.mc_fault_rate, c.mc_age_s, c.mc_seed))
+        .run();
+  });
 }
 
 }  // namespace
@@ -159,12 +175,8 @@ Fidelity fidelity_from_string(const std::string& name) {
 }
 
 void clear_fidelity_caches() {
-  {
-    std::lock_guard<std::mutex> lk(g_ir_cache_mutex);
-    g_ir_error_cache.clear();
-  }
-  std::lock_guard<std::mutex> lk(g_probe_mutex);
-  g_probe_cache.clear();
+  g_ir_errors.clear();
+  g_probes.clear();
 }
 
 FidelityLadder::FidelityLadder(FidelityConfig config, core::AppProfile profile,
@@ -178,18 +190,74 @@ FidelityLadder::FidelityLadder(FidelityConfig config, core::AppProfile profile,
 }
 
 core::Fom FidelityLadder::evaluate(const core::DesignPoint& p, Fidelity tier) const {
+  return evaluate_batch({p}, tier)[0];
+}
+
+std::vector<core::Fom> FidelityLadder::evaluate_batch(const std::vector<core::DesignPoint>& points,
+                                                      Fidelity tier,
+                                                      std::uint64_t* busy_ns) const {
   XLDS_REQUIRE_MSG(tier >= Fidelity::kAnalytic,
                    "the surrogate tier is served by the engine's learned model, "
                    "not by the physics ladder");
   XLDS_REQUIRE_MSG(tier <= config_.max_fidelity,
                    "tier " << dse::to_string(tier) << " above the ladder's max_fidelity");
-  core::Fom fom = evaluator_.evaluate(p, profile_);
-  if (tier >= Fidelity::kNodal) fom = refine_nodal(p, fom);
-  if (tier >= Fidelity::kMonteCarlo) fom = refine_monte_carlo(p, fom);
-  return fom;
+  std::atomic<std::uint64_t> busy{0};
+  const auto timed_for = [&busy](std::size_t n, const std::function<void(std::size_t)>& work) {
+    parallel_for(n, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (std::size_t i = begin; i < end; ++i) work(i);
+      busy.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count(),
+                     std::memory_order_relaxed);
+    });
+  };
+  const bool nodal = tier >= Fidelity::kNodal;
+
+  // Stage 1: analytic FOMs, plus the Eva-CAM variation margins the nodal
+  // rung reads — they decide nodal feasibility, which stage 2 must know.
+  std::vector<core::Fom> foms(points.size());
+  std::vector<evacam::CamFom> margins(nodal ? points.size() : 0);
+  timed_for(points.size(), [&](std::size_t i) {
+    foms[i] = evaluator_.evaluate(points[i], profile_);
+    if (nodal && foms[i].feasible && uses_cam(points[i].arch))
+      margins[i] = evacam::evaluate_with_variation(core::cam_spec_for_point(points[i], profile_),
+                                                   config_.variation_sigma_rel);
+  });
+
+  if (nodal) {
+    // Stage 2: the distinct shared artifacts the refinements below will
+    // read, exactly those the per-point rungs would build (their
+    // feasibility guards applied), as sibling tasks — probe first, so the
+    // longest task starts at once and the tile lanes then help its grid.
+    bool probe = false;
+    std::set<device::DeviceKind> tiles;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const core::DesignPoint& p = points[i];
+      if (!foms[i].feasible || !is_in_memory(p.arch)) continue;
+      if (uses_crossbar(p.arch)) tiles.insert(p.device);
+      probe = probe || (tier >= Fidelity::kMonteCarlo && is_hdc_or_mann(p.algo) &&
+                        !(uses_cam(p.arch) &&
+                          margins[i].max_ml_columns_with_variation < kMinMatchlineColumns));
+    }
+    std::vector<std::function<void()>> artifacts;
+    if (probe) artifacts.emplace_back([this] { (void)probe_report(config_); });
+    for (const device::DeviceKind dev : tiles)
+      artifacts.emplace_back([dev] { (void)nodal_ir_error(dev); });
+    timed_for(artifacts.size(), [&](std::size_t k) { artifacts[k](); });
+
+    // Stage 3: the per-point refinements; they only read memoised artifacts.
+    timed_for(points.size(), [&](std::size_t i) {
+      foms[i] = refine_nodal(points[i], foms[i], margins[i]);
+      if (tier >= Fidelity::kMonteCarlo) foms[i] = refine_monte_carlo(points[i], foms[i]);
+    });
+  }
+  if (busy_ns != nullptr) *busy_ns = busy.load(std::memory_order_relaxed);
+  return foms;
 }
 
-core::Fom FidelityLadder::refine_nodal(const core::DesignPoint& p, core::Fom fom) const {
+core::Fom FidelityLadder::refine_nodal(const core::DesignPoint& p, core::Fom fom,
+                                       const evacam::CamFom& var) const {
   // Infeasible analytic points stay infeasible (they cannot reach a front);
   // digital platforms have no in-memory physics to re-model.
   if (!fom.feasible || !is_in_memory(p.arch)) return fom;
@@ -200,9 +268,7 @@ core::Fom FidelityLadder::refine_nodal(const core::DesignPoint& p, core::Fom fom
     fom.note += "; nodal IR err " + percent(err) + " %";
   }
   if (uses_cam(p.arch)) {
-    const evacam::CamFom var = evacam::evaluate_with_variation(
-        core::cam_spec_for_point(p, profile_), config_.variation_sigma_rel);
-    if (var.max_ml_columns_with_variation < 16) {
+    if (var.max_ml_columns_with_variation < kMinMatchlineColumns) {
       fom.feasible = false;
       fom.note += "; variation shrinks matchline to " +
                   std::to_string(var.max_ml_columns_with_variation) + " columns";
@@ -230,9 +296,8 @@ core::Fom FidelityLadder::refine_monte_carlo(const core::DesignPoint& p, core::F
   // endurance model's 1e9-inference horizon).
   const double writes = profile_.writes_per_inference * 1e9;
 
-  if (p.algo == core::AlgoKind::kHdc || p.algo == core::AlgoKind::kMann) {
-    const fault::ResilienceReport& rep =
-        probe_report(config_.mc_fault_rate, config_.mc_age_s, config_.mc_seed);
+  if (is_hdc_or_mann(p.algo)) {
+    const fault::ResilienceReport rep = probe_report(config_);
     const std::size_t n_times = 2;  // probe grid is {0, rate} x {0, age}
     const auto& clean = rep.at(0, 0, n_times);
     const auto& faulty = rep.at(1, 1, n_times);
@@ -255,11 +320,11 @@ core::Fom FidelityLadder::refine_monte_carlo(const core::DesignPoint& p, core::F
 }
 
 double FidelityLadder::cost_estimate(const core::DesignPoint& p, Fidelity tier) const {
-  // Coarse relative weights of the refinement rungs.  The memoised caches
-  // (per-device IR solve, per-config resilience probe) make the *first*
-  // request at a rung expensive and the rest cheap; LPT ordering by this
-  // estimate front-loads the points that can possibly pay those costs, which
-  // is exactly what a makespan-minimising dispatch wants.
+  // Coarse relative weights of the refinement rungs, as a point pays them
+  // when evaluated alone — on a shard worker, whose first request for a
+  // shared artifact (per-device IR solve, per-config resilience probe) builds
+  // it.  In process, evaluate_batch builds each artifact once as a sibling
+  // task ahead of the per-point work, so the order does not matter there.
   double cost = 1.0;  // analytic projection
   if (!is_in_memory(p.arch)) return cost;  // refinements are no-ops for digital points
   if (tier >= Fidelity::kNodal) {
@@ -267,7 +332,7 @@ double FidelityLadder::cost_estimate(const core::DesignPoint& p, Fidelity tier) 
     if (uses_cam(p.arch)) cost += 4.0;        // Eva-CAM variation margins
   }
   if (tier >= Fidelity::kMonteCarlo) {
-    if (p.algo == core::AlgoKind::kHdc || p.algo == core::AlgoKind::kMann)
+    if (is_hdc_or_mann(p.algo))
       cost += 100.0;  // resilience probe grid (MC accuracy measurement)
     else
       cost += 2.0;  // BER-derived storage derate

@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/design_space.hpp"
 #include "core/evaluate.hpp"
@@ -88,12 +89,25 @@ class FidelityLadder {
   /// Evaluate `p` at `tier` (refining every rung below it).  Pure function
   /// of (p, tier) for a fixed ladder; results are thread-count independent.
   /// PreconditionError on kSurrogate — that tier has no physics to run.
+  /// Same as evaluate_batch({p}, tier)[0].
   core::Fom evaluate(const core::DesignPoint& p, Fidelity tier) const;
 
+  /// evaluate() over a batch, out[i] == evaluate(points[i], tier) on every
+  /// field.  Three stages, each one parallel_for: analytic FOMs (and the
+  /// Eva-CAM variation margins); the distinct shared physics artifacts the
+  /// batch needs (one IR-error tile per crossbar device, one resilience
+  /// probe) as sibling tasks; then the per-point refinements, which only read
+  /// those memoised artifacts.  Every artifact is a pure function of its key,
+  /// so the stages move only when and where work runs, never a value.
+  /// `busy_ns`, when given, receives the lane time spent in all three stages.
+  std::vector<core::Fom> evaluate_batch(const std::vector<core::DesignPoint>& points,
+                                        Fidelity tier, std::uint64_t* busy_ns = nullptr) const;
+
   /// Relative wall-cost estimate of evaluate(p, tier), in analytic-tier
-  /// units.  A scheduling heuristic only (the engine sorts batches
-  /// longest-processing-time-first with it) — never an input to any FOM or
-  /// search decision, so it can evolve freely without invalidating journals.
+  /// units.  A scheduling heuristic only (the engine hands shard workers
+  /// their batches longest-processing-time-first by it) — never an input to
+  /// any FOM or search decision, so it can evolve freely without
+  /// invalidating journals.
   double cost_estimate(const core::DesignPoint& p, Fidelity tier) const;
 
   /// Identity hash of everything evaluate() depends on besides the point —
@@ -103,7 +117,8 @@ class FidelityLadder {
   std::uint64_t hash(std::uint64_t h) const;
 
  private:
-  core::Fom refine_nodal(const core::DesignPoint& p, core::Fom fom) const;
+  core::Fom refine_nodal(const core::DesignPoint& p, core::Fom fom,
+                         const evacam::CamFom& var) const;
   core::Fom refine_monte_carlo(const core::DesignPoint& p, core::Fom fom) const;
 
   FidelityConfig config_;

@@ -278,55 +278,69 @@ ResilienceReport ResilienceEvaluator::run() const {
   const std::size_t n_times = config_.time_points_s.size();
   const std::size_t n_seeds = config_.seeds;
 
-  // Seed contexts, built (or cache-served) before the grid fans out.
+  const std::size_t n_points = n_rates * n_times * n_seeds;
   std::vector<std::shared_ptr<const HdcContext>> hdc_ctx(n_seeds);
   std::vector<std::shared_ptr<const MannContext>> mann_ctx(n_seeds);
-  for (std::size_t s = 0; s < n_seeds; ++s) {
-    hdc_ctx[s] = cached_context<HdcContext>(
-        g_hdc_cache_mutex, g_hdc_cache, hdc_context_key(config_, s),
-        [&] { return build_hdc_context(config_, s); });
-    mann_ctx[s] = cached_context<MannContext>(
-        g_mann_cache_mutex, g_mann_cache, mann_context_key(config_, s),
-        [&] { return build_mann_context(config_, s); });
-  }
-
-  const std::size_t n_points = n_rates * n_times * n_seeds;
   std::vector<double> hdc_acc(n_points, 0.0);
   std::vector<double> mann_acc(n_points, 0.0);
   std::vector<double> residual(n_points, 0.0);
-
+  // Grid point i is (rate i / (seeds x times), time (i / seeds) % times,
+  // seed i % seeds).  Each owns a stream forked in point order on this
+  // thread, so assignment of points to lanes never changes a draw; its HDC
+  // half draws first and its MANN half continues the same stream.
+  const auto rate_of = [&](std::size_t i) {
+    return config_.fault_rates[i / (n_seeds * n_times)];
+  };
+  const auto time_of = [&](std::size_t i) {
+    return config_.time_points_s[(i / n_seeds) % n_times];
+  };
   Rng grid_rng(config_.base_seed ^ kGridStreamTag);
-  // Chunk of 1: each grid point owns a forked stream, so assignment of
-  // points to threads never changes a draw.
-  parallel_for_rng(grid_rng, n_points, 1,
-                   [&](Rng& point_rng, std::size_t begin, std::size_t end, std::size_t) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       const std::size_t si = i % n_seeds;
-                       const std::size_t ti = (i / n_seeds) % n_times;
-                       const std::size_t ri = i / (n_seeds * n_times);
-                       const double rate = config_.fault_rates[ri];
-                       const double time_s = config_.time_points_s[ti];
-                       const FaultSpec spec = config_.mechanism_mix.scaled(rate);
+  std::vector<Rng> point_rng;
+  point_rng.reserve(n_points);
+  for (std::size_t i = 0; i < n_points; ++i) point_rng.push_back(grid_rng.fork(i));
 
-                       const HdcContext& hc = *hdc_ctx[si];
-                       hdc::CamInferenceConfig cic;
-                       cic.subarray = config_.hdc.subarray;
-                       hdc::HdcCamInference infer(hc.model, cic, point_rng);
-                       FaultInjectionStats stats;
-                       if (rate > 0.0)
-                         stats = infer.inject_faults(spec, config_.policies, point_rng);
-                       if (time_s > 0.0) infer.age(time_s);
-                       hdc_acc[i] = infer.accuracy(hc.test_x, hc.test_y,
-                                                   config_.policies.requery_votes);
-                       const double logical_cells =
-                           static_cast<double>(infer.segments() * hc.model.n_classes() *
-                                               config_.hdc.subarray.cols);
-                       residual[i] = static_cast<double>(stats.residual_cells) / logical_cells;
+  const auto hdc_half = [&](std::size_t i) {
+    const HdcContext& hc = *hdc_ctx[i % n_seeds];
+    hdc::CamInferenceConfig cic;
+    cic.subarray = config_.hdc.subarray;
+    hdc::HdcCamInference infer(hc.model, cic, point_rng[i]);
+    FaultInjectionStats stats;
+    if (rate_of(i) > 0.0)
+      stats = infer.inject_faults(config_.mechanism_mix.scaled(rate_of(i)), config_.policies,
+                                  point_rng[i]);
+    if (time_of(i) > 0.0) infer.age(time_of(i));
+    hdc_acc[i] = infer.accuracy(hc.test_x, hc.test_y, config_.policies.requery_votes);
+    const double logical_cells = static_cast<double>(
+        infer.segments() * hc.model.n_classes() * config_.hdc.subarray.cols);
+    residual[i] = static_cast<double>(stats.residual_cells) / logical_cells;
+  };
 
-                       mann_acc[i] = evaluate_mann_point(*mann_ctx[si], config_, spec, rate,
-                                                         time_s, point_rng);
-                     }
-                   });
+  // Seed contexts (built or cache-served) as 2 x seeds sibling tasks, the
+  // MANN one of each seed first: it is the longest, and each HDC task runs
+  // its seed's HDC halves beside it.  Each context seeds its own Rng.
+  parallel_for(2 * n_seeds, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::size_t s = k / 2;
+      if (k % 2 == 0) {
+        mann_ctx[s] = cached_context<MannContext>(
+            g_mann_cache_mutex, g_mann_cache, mann_context_key(config_, s),
+            [&] { return build_mann_context(config_, s); });
+        continue;
+      }
+      hdc_ctx[s] = cached_context<HdcContext>(g_hdc_cache_mutex, g_hdc_cache,
+                                              hdc_context_key(config_, s),
+                                              [&] { return build_hdc_context(config_, s); });
+      parallel_for(n_rates * n_times, 1, [&](std::size_t b, std::size_t e, std::size_t) {
+        for (std::size_t j = b; j < e; ++j) hdc_half(j * n_seeds + s);
+      });
+    }
+  });
+  parallel_for(n_points, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+    for (std::size_t i = begin; i < end; ++i)
+      mann_acc[i] = evaluate_mann_point(*mann_ctx[i % n_seeds], config_,
+                                        config_.mechanism_mix.scaled(rate_of(i)), rate_of(i),
+                                        time_of(i), point_rng[i]);
+  });
 
   ResilienceReport report;
   report.points.reserve(n_rates * n_times);

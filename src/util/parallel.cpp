@@ -354,9 +354,9 @@ class Pool {
 
   /// Work until `job` has no unfinished units, then return (the caller
   /// rethrows job.error).  Only tasks of `job` or its descendants are taken:
-  /// a waiter may hold locks around its nested parallel region (the fidelity
-  /// ladder's probe memo does), and helping an *unrelated* task could
-  /// re-enter such a lock and self-deadlock.  Fully-strict helping keeps the
+  /// a waiter may hold a lock (or run inside a std::call_once) around its
+  /// nested parallel region, and helping an *unrelated* task could re-enter
+  /// it and self-deadlock.  Fully-strict helping keeps the
   /// stolen work inside the waiter's own call tree, where lock acquisition
   /// is already ordered.  Unrelated tasks still make progress: every other
   /// lane is free to take them.

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "dse/jobspec.hpp"
 #include "dse/journal.hpp"
 #include "dse/space.hpp"
+#include "fault/resilience.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
@@ -63,6 +65,15 @@ ExplorationResult brute_force(const std::string& application, FidelityConfig fid
   return explore(config);
 }
 
+constexpr const char* kApplications[] = {"isolet-like", "ucihar-like",   "mnist-like",
+                                         "face-like",   "language-like", "omniglot-like"};
+
+// Bit-identical, not approximately equal.
+bool same_fom(const core::Fom& a, const core::Fom& b) {
+  return a.latency == b.latency && a.energy == b.energy && a.area_mm2 == b.area_mm2 &&
+         a.accuracy == b.accuracy && a.feasible == b.feasible && a.note == b.note;
+}
+
 bool same_foms(const ExplorationResult& a, const ExplorationResult& b) {
   if (a.evaluated.size() != b.evaluated.size()) return false;
   for (std::size_t i = 0; i < a.evaluated.size(); ++i) {
@@ -70,11 +81,7 @@ bool same_foms(const ExplorationResult& a, const ExplorationResult& b) {
     const core::Fom& fb = b.evaluated[i].fom;
     if (a.evaluated[i].point.to_string() != b.evaluated[i].point.to_string()) return false;
     if (a.tiers[i] != b.tiers[i]) return false;
-    // Bit-identical, not approximately equal.
-    if (fa.latency != fb.latency || fa.energy != fb.energy ||
-        fa.area_mm2 != fb.area_mm2 || fa.accuracy != fb.accuracy ||
-        fa.feasible != fb.feasible || fa.note != fb.note)
-      return false;
+    if (!same_fom(fa, fb)) return false;
   }
   return true;
 }
@@ -228,6 +235,55 @@ TEST(FidelityLadder, DeterministicAcrossInstances) {
   EXPECT_EQ(fa.note, fb.note);
 }
 
+TEST(FidelityLadder, BatchMatchesPerPointOnEveryField) {
+  // evaluate_batch builds the batch's shared artifacts as concurrent sibling
+  // tasks; out[i] must still be evaluate(points[i]) byte for byte, note
+  // string included, at any pool width.  The memo caches are cleared once
+  // per width so the first (mc) batch builds probe and tiles concurrently.
+  FidelityConfig config;
+  config.max_fidelity = Fidelity::kMonteCarlo;
+  for (const std::size_t threads : {1, 4, 8}) {
+    set_parallel_threads(threads);
+    clear_fidelity_caches();
+    for (const char* app : kApplications) {
+      const FidelityLadder ladder(config, core::profile_for(app));
+      const SearchSpace space({}, app);
+      std::vector<core::DesignPoint> points;
+      for (std::size_t i = 0; i < space.size(); ++i)
+        if (!space.culled(i)) points.push_back(space.at(i));
+      for (const Fidelity tier : {Fidelity::kMonteCarlo, Fidelity::kNodal, Fidelity::kAnalytic}) {
+        const std::vector<core::Fom> batch = ladder.evaluate_batch(points, tier);
+        ASSERT_EQ(batch.size(), points.size());
+        for (std::size_t i = 0; i < points.size(); ++i)
+          EXPECT_TRUE(same_fom(batch[i], ladder.evaluate(points[i], tier)))
+              << app << " " << to_string(tier) << " " << points[i].to_string() << " at "
+              << threads << " threads: " << batch[i].note;
+      }
+    }
+  }
+  set_parallel_threads(0);  // restore default
+}
+
+TEST(FidelityLadder, BatchSkipsProbeWhenNodalRungKillsThePoint) {
+  // Variation margins make this CAM HDC point infeasible at the nodal rung,
+  // so the per-point Monte-Carlo rung never reads the resilience probe.  The
+  // batch must not build it either, although the point is analytically
+  // feasible.
+  FidelityConfig config;
+  config.max_fidelity = Fidelity::kMonteCarlo;
+  const FidelityLadder ladder(config, core::profile_for("isolet-like"));
+  core::DesignPoint p;
+  p.device = device::DeviceKind::kFeFet;
+  p.arch = core::ArchKind::kCamAccelerator;
+  p.algo = core::AlgoKind::kHdc;
+  ASSERT_TRUE(ladder.evaluate(p, Fidelity::kAnalytic).feasible);
+  clear_fidelity_caches();
+  fault::clear_resilience_caches();
+  const core::Fom mc = ladder.evaluate_batch({p, p}, Fidelity::kMonteCarlo)[0];
+  EXPECT_FALSE(mc.feasible);
+  EXPECT_EQ(fault::resilience_cache_stats().lookups, 0u);
+}
+
 TEST(FidelityLadder, RejectsTiersAboveMax) {
   const FidelityLadder ladder({}, core::profile_for("isolet-like"));  // max = analytic
   EXPECT_THROW(ladder.evaluate(core::DesignPoint{}, Fidelity::kNodal),
@@ -357,24 +413,56 @@ TEST(Engine, ThreadCountDoesNotChangeResults) {
 
 TEST(Engine, NodalFactorizationsPerJobDoNotDependOnThreadCount) {
   // The nodal rung's IR-error memo is single-flight: a cold job factorizes
-  // each device's probe tile once, however many lanes race for it.
+  // each device's probe tile once, however many lanes race for it.  And a
+  // ladder batch tiles only the devices of its analytically feasible
+  // crossbar points, so the per-application counts (recorded on the
+  // per-point ladder) stay pinned — tiling infeasible points would raise them.
+  const std::uint64_t expected[] = {3, 3, 3, 3, 3, 2};  // kApplications order
   EngineConfig config;
   config.strategy = "nsga2";
   config.budget = 60;
   config.seed = 7;
   config.fidelity.max_fidelity = Fidelity::kMonteCarlo;
-  const auto cold_job_factorizations = [&](std::size_t threads) {
+  for (const std::size_t threads : {1, 4}) {
     set_parallel_threads(threads);
-    clear_fidelity_caches();
-    const std::uint64_t before = core::Profiler::nodal().factorizations;
-    (void)explore(config);
-    return core::Profiler::nodal().factorizations - before;
-  };
-  const std::uint64_t serial = cold_job_factorizations(1);
-  const std::uint64_t wide = cold_job_factorizations(4);
+    for (std::size_t a = 0; a < std::size(kApplications); ++a) {
+      config.application = kApplications[a];
+      clear_fidelity_caches();
+      const std::uint64_t before = core::Profiler::nodal().factorizations;
+      (void)explore(config);
+      EXPECT_EQ(core::Profiler::nodal().factorizations - before, expected[a])
+          << kApplications[a] << " at " << threads << " threads";
+    }
+  }
   set_parallel_threads(0);  // restore default
-  EXPECT_GT(serial, 0u);
-  EXPECT_EQ(serial, wide);
+}
+
+TEST(Engine, CacheServedRerunDoesNoPhysics) {
+  // Artifacts are built for cache misses only: a rerun that the result
+  // cache serves in full must not factorize a tile or touch a resilience
+  // context, even with every in-process memo dropped.
+  TempPath cache("warm_cache"), cold_journal("cold_journal"), warm_journal("warm_journal");
+  EngineConfig config;
+  config.strategy = "nsga2";
+  config.budget = 60;
+  config.seed = 1;
+  config.fidelity.max_fidelity = Fidelity::kMonteCarlo;
+  config.cache_path = cache.str();
+  config.journal_path = cold_journal.str();
+  clear_fidelity_caches();
+  const ExplorationResult cold = explore(config);
+  ASSERT_GT(cold.stats.computed, 0u);
+
+  clear_fidelity_caches();
+  fault::clear_resilience_caches();
+  config.journal_path = warm_journal.str();
+  const std::uint64_t before = core::Profiler::nodal().factorizations;
+  const ExplorationResult warm = explore(config);
+  EXPECT_EQ(warm.stats.computed, 0u);
+  EXPECT_EQ(warm.stats.cache_hits, cold.stats.computed);
+  EXPECT_EQ(core::Profiler::nodal().factorizations - before, 0u);
+  EXPECT_EQ(fault::resilience_cache_stats().lookups, 0u);
+  EXPECT_TRUE(same_foms(cold, warm));
 }
 
 TEST(Engine, SchedulerModeDoesNotChangeResultsOrJournalBytes) {
