@@ -74,9 +74,8 @@ struct RunResult {
 };
 
 /// One DSE-shaped batch: `mc` expensive points with an inner parallel sweep,
-/// then `cheap` light points.  MC points sit at the low indices — the LPT
-/// order the engine's cost-aware dispatch produces — so the scheduler sees
-/// the expensive work first.  Results land in pre-sized slots; the checksum
+/// then `cheap` light points.  MC points sit at the low indices, so the
+/// scheduler sees the expensive work first.  Results land in pre-sized slots; the checksum
 /// over them is the determinism witness.
 RunResult run_batch(SchedulerMode mode, std::size_t threads, std::size_t mc, std::size_t cheap) {
   set_parallel_threads(threads);

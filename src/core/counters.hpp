@@ -120,30 +120,6 @@ class Profiler {
     sched_nested_inline_.store(0, kOrder);
   }
 
-  /// Fold an externally measured delta into the counters — the shard pool
-  /// uses this to credit the parent process with the nodal/scheduler work
-  /// its forked workers reported over the wire, so per-run deltas keep
-  /// meaning "work done on behalf of this run" at any shard count.
-  static void add_nodal(const NodalCounts& d) noexcept {
-    nodal_factorizations_.fetch_add(d.factorizations, kOrder);
-    nodal_direct_solves_.fetch_add(d.direct_solves, kOrder);
-    nodal_gs_solves_.fetch_add(d.gs_solves, kOrder);
-    nodal_updates_.fetch_add(d.incremental_updates, kOrder);
-    nodal_updated_cells_.fetch_add(d.updated_cells, kOrder);
-    nodal_update_declines_.fetch_add(d.update_declines, kOrder);
-    nodal_drift_refactorizations_.fetch_add(d.drift_refactorizations, kOrder);
-  }
-
-  static void add_sched(const SchedCounts& d) noexcept {
-    sched_jobs_.fetch_add(d.jobs, kOrder);
-    sched_inline_jobs_.fetch_add(d.inline_jobs, kOrder);
-    sched_tasks_.fetch_add(d.tasks, kOrder);
-    sched_stolen_tasks_.fetch_add(d.stolen_tasks, kOrder);
-    sched_steal_failures_.fetch_add(d.steal_failures, kOrder);
-    sched_nested_coop_.fetch_add(d.nested_cooperative, kOrder);
-    sched_nested_inline_.fetch_add(d.nested_inlined, kOrder);
-  }
-
   static NodalCounts nodal() noexcept {
     NodalCounts c;
     c.factorizations = nodal_factorizations_.load(kOrder);

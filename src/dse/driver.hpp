@@ -1,8 +1,8 @@
 // Pluggable search strategies over a SearchSpace.
 //
 // A driver decides *which* (point, fidelity) pairs to request next; the
-// engine owns *how* they get valued — memo map, journal, sharded parallel
-// evaluation, budget accounting.  The split keeps every strategy trivially
+// engine owns *how* they get valued — memo map, journal, result cache,
+// batched parallel evaluation, budget accounting.  The split keeps every strategy trivially
 // resumable: a driver's trajectory is a pure function of its seed and the
 // FOM values it receives, and FOM values are pure functions of the job
 // (never of wall-clock, thread count, or journal state), so re-running a

@@ -5,16 +5,13 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "dse/jobspec.hpp"
 #include "dse/journal.hpp"
-#include "shard/result_cache.hpp"
-#include "shard/shard_pool.hpp"
+#include "dse/result_cache.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/parallel.hpp"
@@ -48,15 +45,13 @@ class Backend final : public EvaluationBackend {
  public:
   Backend(const SearchSpace& space, const FidelityLadder& ladder, std::size_t budget,
           const surrogate::SurrogateConfig& surrogate_config, Journal* journal,
-          std::size_t abort_after_computed, shard::ShardPool* pool, shard::ResultCache* cache,
-          std::uint64_t cache_space_hash)
+          std::size_t abort_after_computed, ResultCache* cache, std::uint64_t cache_space_hash)
       : space_(space),
         ladder_(ladder),
         budget_(budget),
         model_(surrogate_config),
         journal_(journal),
         abort_after_computed_(abort_after_computed),
-        pool_(pool),
         cache_(cache),
         cache_space_hash_(cache_space_hash) {
     if (journal_ != nullptr)
@@ -141,62 +136,34 @@ class Backend final : public EvaluationBackend {
         to_compute.push_back(i);
     }
 
-    // Pass 2: serve the misses.  Three sources, cheapest first — the
-    // persistent cross-run cache, then the shard pool (or one in-process
-    // ladder batch) for whatever remains.  The FOM of a (point, tier) pair
-    // is a pure function of the job and cached values are stored
-    // bit-exactly, so neither the cache state nor the shard layout can
-    // change values, only wall clock.  Shard dispatch is cost-aware:
-    // longest-processing-time-first by the ladder's charge estimate, so the
-    // points that may build an artifact (MC probes, first nodal solves)
-    // reach the workers ahead of the cheap tail.  Results land in
-    // original-order slots and the memo/journal loop below walks
-    // `to_compute` order, so every journal byte is placement-, shard- and
-    // cache-invariant.
+    // Pass 2: serve the misses.  Two sources, cheapest first — the
+    // persistent cross-run cache, then one ladder batch over whatever
+    // remains, which builds each shared artifact the misses need once,
+    // concurrently with the others, before the per-point refinements read
+    // it.  The FOM of a (point, tier) pair is a pure function of the job and
+    // cached values are stored bit-exactly, so the cache state can change
+    // only wall clock, never values.  Results land in original-order slots
+    // and the memo/journal loop below walks `to_compute` order, so every
+    // journal byte is placement- and cache-invariant.
     if (!to_compute.empty()) {
-      std::vector<std::size_t> order(to_compute.size());
-      std::iota(order.begin(), order.end(), std::size_t{0});
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return ladder_.cost_estimate(space_.at(to_compute[a]), tier) >
-               ladder_.cost_estimate(space_.at(to_compute[b]), tier);
-      });
       std::vector<core::Fom> foms(to_compute.size());
       std::vector<char> from_cache(to_compute.size(), 0);
-      std::vector<std::size_t> pending;  // positions into to_compute, LPT order
-      pending.reserve(order.size());
-      if (cache_ != nullptr) {
-        for (const std::size_t j : order) {
-          const core::Fom* hit = cache_->find(
-              cache_space_hash_, shard::cache_point_hash(space_.at(to_compute[j])),
-              static_cast<std::uint32_t>(tier));
-          if (hit != nullptr) {
-            foms[j] = *hit;
-            from_cache[j] = 1;
-          } else {
-            pending.push_back(j);
-          }
+      std::vector<std::size_t> pending;  // positions into to_compute
+      pending.reserve(to_compute.size());
+      for (std::size_t j = 0; j < to_compute.size(); ++j) {
+        const core::Fom* hit =
+            cache_ == nullptr
+                ? nullptr
+                : cache_->find(cache_space_hash_, cache_point_hash(space_.at(to_compute[j])),
+                               static_cast<std::uint32_t>(tier));
+        if (hit != nullptr) {
+          foms[j] = *hit;
+          from_cache[j] = 1;
+        } else {
+          pending.push_back(j);
         }
-      } else {
-        pending = order;
       }
-      if (!pending.empty() && pool_ != nullptr) {
-        std::vector<shard::BatchItem> items;
-        items.reserve(pending.size());
-        for (const std::size_t j : pending)
-          items.push_back({to_compute[j], space_.at(to_compute[j])});
-        shard::BatchResult batch = pool_->evaluate(items, static_cast<std::uint32_t>(tier));
-        for (std::size_t k = 0; k < pending.size(); ++k)
-          foms[pending[k]] = std::move(batch.foms[k]);
-        busy_ns_[static_cast<std::size_t>(tier)].fetch_add(batch.busy_ns,
-                                                           std::memory_order_relaxed);
-        // Credit the parent's per-run profiler deltas with the work the
-        // workers reported, so diagnostics keep meaning "done for this run".
-        core::Profiler::add_nodal(batch.nodal);
-        core::Profiler::add_sched(batch.sched);
-      } else if (!pending.empty()) {
-        // One ladder batch over the misses: each shared artifact they need
-        // is built once, concurrently with the others, before the per-point
-        // refinements read it.
+      if (!pending.empty()) {
         std::vector<core::DesignPoint> points;
         points.reserve(pending.size());
         for (const std::size_t j : pending) points.push_back(space_.at(to_compute[j]));
@@ -214,8 +181,7 @@ class Backend final : public EvaluationBackend {
         } else {
           ++stats_.computed;
           if (cache_ != nullptr) {
-            cache_->insert(cache_space_hash_,
-                           shard::cache_point_hash(space_.at(to_compute[j])),
+            cache_->insert(cache_space_hash_, cache_point_hash(space_.at(to_compute[j])),
                            static_cast<std::uint32_t>(tier), foms[j]);
             ++stats_.cache_appends;
           }
@@ -317,7 +283,7 @@ class Backend final : public EvaluationBackend {
       to_predict.push_back(i);
     }
 
-    // Predict pass, sharded on the pool: the forest is immutable between
+    // Predict pass, spread over the pool: the forest is immutable between
     // refits, so concurrent predict() calls are pure reads — the screen no
     // longer runs as a serial barrier phase but as one more parallel batch
     // whose tasks interleave (via the shared deques) with any in-flight
@@ -382,8 +348,7 @@ class Backend final : public EvaluationBackend {
   std::vector<std::pair<std::size_t, Fidelity>> charge_order_;
   std::unordered_map<std::uint64_t, core::Fom> memo_;
   std::unordered_map<std::size_t, double> uncertainty_;
-  shard::ShardPool* pool_;
-  shard::ResultCache* cache_;
+  ResultCache* cache_;
   std::uint64_t cache_space_hash_;
   ExplorationStats stats_;
   /// Wall time lanes spent inside ladder batches (all three stages) and
@@ -413,36 +378,18 @@ ExplorationResult explore(const EngineConfig& config) {
   // value depends on besides the point itself — ladder settings + app
   // profile — but deliberately NOT the job's axis restriction, so a
   // restricted sweep and a full-grid sweep share overlapping entries.
-  std::optional<shard::ResultCache> cache;
+  std::optional<ResultCache> cache;
   std::uint64_t cache_space_hash = 0;
   if (!config.cache_path.empty()) {
     cache.emplace(config.cache_path);
     cache_space_hash = ladder.hash(util::fnv1a64("xlds-cache-v1", 13));
   }
 
-  // The shard pool: forked evaluation workers sharing the parent's ladder by
-  // inheritance.  shards == 1 means in-process (no fork at all).
-  const std::size_t shards = config.shards != 0 ? config.shards : shard::env_shard_count();
-  std::optional<shard::ShardPool> pool;
-  if (shards > 1) {
-    shard::ShardConfig sc;
-    sc.shards = shards;
-    sc.job_hash = job_hash(space, ladder);
-    sc.job_json = shard_job_spec_text(config);
-    sc.application = config.application;
-    sc.evaluator = [&ladder](const core::DesignPoint& p, std::uint32_t tier) {
-      return ladder.evaluate(p, static_cast<Fidelity>(tier));
-    };
-    sc.kill_worker_after_results = config.kill_shard_worker_after;
-    pool.emplace(std::move(sc));
-  }
-
   Backend backend(space, ladder, budget, config.surrogate, journal ? &*journal : nullptr,
-                  config.abort_after_computed, pool ? &*pool : nullptr,
-                  cache ? &*cache : nullptr, cache_space_hash);
+                  config.abort_after_computed, cache ? &*cache : nullptr, cache_space_hash);
   const std::unique_ptr<SearchDriver> driver = make_driver(config.strategy, config.driver);
   // The driver stream is forked off the job seed so future engine-level
-  // randomness (shard jitter, restarts) can never alias with it.
+  // randomness (e.g. restarts) can never alias with it.
   Rng rng = Rng(config.seed).fork(0x647365ull);  // "dse"
   driver->run(backend, rng);
 
@@ -505,12 +452,6 @@ ExplorationResult explore(const EngineConfig& config) {
     result.stats.resumed = journal->open_info().existed;
     result.stats.journal_replayed = journal->open_info().replayed;
     result.stats.journal_dropped_bytes = journal->open_info().dropped_bytes;
-  }
-  result.stats.shards_used = pool ? pool->shards() : 1;
-  if (pool) {
-    result.stats.shard_requests = pool->stats().requests;
-    result.stats.shard_redispatches = pool->stats().redispatches;
-    result.stats.shard_respawns = pool->stats().respawns;
   }
   return result;
 }

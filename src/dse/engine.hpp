@@ -45,22 +45,14 @@ struct EngineConfig {
   surrogate::SurrogateConfig surrogate;
   std::string journal_path;                   ///< empty: in-memory, no resume
   core::TriageWeights weights;
-  /// Evaluation shard processes for the physics tiers: 1 = in-process; N > 1
-  /// forks N workers (src/shard/).  0 = read XLDS_SHARDS (default 1).
-  /// Speed-only by contract: FOMs, journal bytes and results are
-  /// bit-identical at any shard count.
-  std::size_t shards = 0;
-  /// Persistent cross-run result cache file (shard::ResultCache); empty =
-  /// off.  Also speed-only: cached values are bit-exact, so journal bytes
-  /// and results match a cache-less run.
+  /// Persistent cross-run result cache file (dse::ResultCache); empty =
+  /// off.  Speed-only: cached values are bit-exact, so journal bytes and
+  /// results match a cache-less run.
   std::string cache_path;
   /// Test hook simulating a crash: after this many journal appends the
   /// engine throws AbortInjected, leaving the journal exactly as a kill -9
   /// at that moment would.  0 disables.
   std::size_t abort_after_computed = 0;
-  /// Test hook: SIGKILL one shard worker after this many shard-evaluated
-  /// point results have merged (0 = off) — exercises crash recovery.
-  std::size_t kill_shard_worker_after = 0;
 };
 
 struct ExplorationStats {
@@ -83,14 +75,10 @@ struct ExplorationStats {
   std::size_t surrogate_disagreements = 0;  ///< real-vs-predicted rel err over limit
   /// Ladder-charge equivalents the queries cost (queries / queries_per_charge).
   double surrogate_budget_units = 0.0;
-  // Shard-pool + persistent-cache accounting.  Speed-only diagnostics, like
-  // `nodal` below: none of these influence any value or search decision.
-  std::size_t shards_used = 1;          ///< evaluation processes (1 = in-process)
-  std::size_t shard_requests = 0;       ///< wire requests dispatched (incl. duplicates)
-  std::size_t shard_redispatches = 0;   ///< steal-by-redispatch duplicates
-  std::size_t shard_respawns = 0;       ///< workers respawned after dying
-  std::size_t cache_hits = 0;           ///< pairs served from the persistent cache
-  std::size_t cache_appends = 0;        ///< pairs appended to the persistent cache
+  // Persistent-cache accounting.  Speed-only diagnostics, like `nodal`
+  // below: neither influences any value or search decision.
+  std::size_t cache_hits = 0;     ///< pairs served from the persistent cache
+  std::size_t cache_appends = 0;  ///< pairs appended to the persistent cache
   /// Nodal-solver work done on behalf of this run (delta of the process-wide
   /// core::Profiler counters across explore()): how many full envelope
   /// factorizations the high-fidelity tiers paid for versus how many were

@@ -319,27 +319,6 @@ core::Fom FidelityLadder::refine_monte_carlo(const core::DesignPoint& p, core::F
   return fom;
 }
 
-double FidelityLadder::cost_estimate(const core::DesignPoint& p, Fidelity tier) const {
-  // Coarse relative weights of the refinement rungs, as a point pays them
-  // when evaluated alone — on a shard worker, whose first request for a
-  // shared artifact (per-device IR solve, per-config resilience probe) builds
-  // it.  In process, evaluate_batch builds each artifact once as a sibling
-  // task ahead of the per-point work, so the order does not matter there.
-  double cost = 1.0;  // analytic projection
-  if (!is_in_memory(p.arch)) return cost;  // refinements are no-ops for digital points
-  if (tier >= Fidelity::kNodal) {
-    if (uses_crossbar(p.arch)) cost += 8.0;   // nodal IR-drop tile solve
-    if (uses_cam(p.arch)) cost += 4.0;        // Eva-CAM variation margins
-  }
-  if (tier >= Fidelity::kMonteCarlo) {
-    if (is_hdc_or_mann(p.algo))
-      cost += 100.0;  // resilience probe grid (MC accuracy measurement)
-    else
-      cost += 2.0;  // BER-derived storage derate
-  }
-  return cost;
-}
-
 std::uint64_t FidelityLadder::hash(std::uint64_t h) const {
   h = fnv1a64("xlds-ladder-v1", 14, h);
   const auto mix = [&h](double v) { h = fnv1a64(&v, sizeof v, h); };

@@ -103,13 +103,6 @@ class FidelityLadder {
   std::vector<core::Fom> evaluate_batch(const std::vector<core::DesignPoint>& points,
                                         Fidelity tier, std::uint64_t* busy_ns = nullptr) const;
 
-  /// Relative wall-cost estimate of evaluate(p, tier), in analytic-tier
-  /// units.  A scheduling heuristic only (the engine hands shard workers
-  /// their batches longest-processing-time-first by it) — never an input to
-  /// any FOM or search decision, so it can evolve freely without
-  /// invalidating journals.
-  double cost_estimate(const core::DesignPoint& p, Fidelity tier) const;
-
   /// Identity hash of everything evaluate() depends on besides the point —
   /// folded into the journal job hash.  max_fidelity enters in the ladder's
   /// original 3-tier numbering (analytic = 0) so journals written before the

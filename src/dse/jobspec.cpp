@@ -76,7 +76,7 @@ util::Json fom_to_json(const core::Fom& fom) {
 EngineConfig config_from_spec(const util::Json& spec) {
   reject_unknown_keys(spec,
                       {"application", "strategy", "budget", "seed", "space", "fidelity",
-                       "surrogate", "driver", "weights", "journal", "shards", "cache"},
+                       "surrogate", "driver", "weights", "journal", "cache"},
                       "the top level");
   EngineConfig config;
   config.application = spec.string_or("application", config.application);
@@ -84,7 +84,6 @@ EngineConfig config_from_spec(const util::Json& spec) {
   config.budget = size_or(spec, "budget", 0);
   config.seed = static_cast<std::uint64_t>(size_or(spec, "seed", 1));
   config.journal_path = spec.string_or("journal", "");
-  config.shards = size_or(spec, "shards", 0);
   config.cache_path = spec.string_or("cache", "");
 
   if (const util::Json* space = spec.find("space")) {
@@ -158,34 +157,6 @@ EngineConfig config_from_spec_text(const std::string& text) {
   return config_from_spec(util::Json::parse(text));
 }
 
-std::string shard_job_spec_text(const EngineConfig& config) {
-  util::Json spec = util::Json::object();
-  spec.set("application", config.application);
-
-  util::Json space = util::Json::object();
-  const core::SpaceAxes axes = config.axes.resolved();
-  util::Json devices = util::Json::array();
-  for (const device::DeviceKind d : axes.devices) devices.push_back(util::Json(to_string(d)));
-  space.set("devices", std::move(devices));
-  util::Json archs = util::Json::array();
-  for (const core::ArchKind a : axes.archs) archs.push_back(util::Json(core::to_string(a)));
-  space.set("archs", std::move(archs));
-  util::Json algos = util::Json::array();
-  for (const core::AlgoKind g : axes.algos) algos.push_back(util::Json(core::to_string(g)));
-  space.set("algos", std::move(algos));
-  spec.set("space", std::move(space));
-
-  util::Json fid = util::Json::object();
-  fid.set("max", to_string(config.fidelity.max_fidelity));
-  fid.set("variation_sigma_rel", config.fidelity.variation_sigma_rel);
-  fid.set("ir_drop_sensitivity", config.fidelity.ir_drop_sensitivity);
-  fid.set("mc_fault_rate", config.fidelity.mc_fault_rate);
-  fid.set("mc_age_s", config.fidelity.mc_age_s);
-  fid.set("mc_seed", static_cast<double>(config.fidelity.mc_seed));
-  spec.set("fidelity", std::move(fid));
-  return spec.dump();
-}
-
 util::Json result_to_json(const ExplorationResult& result, bool include_stats) {
   util::Json doc = util::Json::object();
   doc.set("strategy", result.strategy);
@@ -241,12 +212,6 @@ util::Json result_to_json(const ExplorationResult& result, bool include_stats) {
     sur.set("disagreements", s.surrogate_disagreements);
     sur.set("budget_units", s.surrogate_budget_units);
     stats.set("surrogate", std::move(sur));
-    util::Json shard = util::Json::object();
-    shard.set("shards", s.shards_used);
-    shard.set("requests", s.shard_requests);
-    shard.set("redispatches", s.shard_redispatches);
-    shard.set("respawns", s.shard_respawns);
-    stats.set("shard", std::move(shard));
     util::Json cache = util::Json::object();
     cache.set("hits", s.cache_hits);
     cache.set("appends", s.cache_appends);

@@ -2,12 +2,11 @@
 
 #include <cstring>
 #include <filesystem>
-#include <iterator>
-#include <type_traits>
 
 #include "dse/fidelity.hpp"
 #include "dse/space.hpp"
 #include "util/error.hpp"
+#include "util/record_log.hpp"
 
 namespace xlds::dse {
 
@@ -17,25 +16,9 @@ constexpr char kMagic[8] = {'X', 'L', 'D', 'S', 'J', 'N', 'L', '1'};
 constexpr std::uint32_t kVersionLegacy3Tier = 1;
 constexpr std::uint32_t kVersion = 2;
 constexpr std::size_t kHeaderSize = sizeof(kMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-// Sanity bound on one record: a note longer than this is a corrupt length
-// field, not a real note.
-constexpr std::uint32_t kMaxBodyLen = 1u << 20;
 
-template <class T>
-void append_raw(std::string& buf, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const char* p = reinterpret_cast<const char*>(&v);
-  buf.append(p, sizeof v);
-}
-
-template <class T>
-bool read_raw(const std::string& buf, std::size_t& pos, T& out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (pos + sizeof out > buf.size()) return false;
-  std::memcpy(&out, buf.data() + pos, sizeof out);
-  pos += sizeof out;
-  return true;
-}
+using util::append_raw;
+using util::read_raw;
 
 std::string encode_body(const Journal::Record& r) {
   std::string body;
@@ -100,34 +83,14 @@ Parsed parse(const std::string& contents, const std::string& path) {
                    "journal '" << path << "' has format version " << out.version
                                << ", this build reads " << kVersionLegacy3Tier << " and "
                                << kVersion);
-  out.good_end = pos;
 
-  // Replay the intact record prefix; stop at the first torn or corrupt one.
-  while (pos < contents.size()) {
-    std::uint32_t body_len = 0;
-    std::size_t scan = pos;
-    if (!read_raw(contents, scan, body_len) || body_len > kMaxBodyLen ||
-        scan + body_len + sizeof(std::uint64_t) > contents.size())
-      break;  // torn tail
-    const std::string body = contents.substr(scan, body_len);
-    scan += body_len;
-    std::uint64_t checksum = 0;
-    read_raw(contents, scan, checksum);
+  out.good_end = util::scan_records(contents, pos, [&](const std::string& body) {
     Journal::Record r;
-    if (checksum != fnv1a64(body.data(), body.size()) || !decode_body(body, out.version, r))
-      break;  // corrupt record: distrust everything after it
+    if (!decode_body(body, out.version, r)) return false;
     out.records.push_back(std::move(r));
-    pos = scan;
-    out.good_end = pos;
-  }
+    return true;
+  });
   return out;
-}
-
-void frame_record(std::string& buf, const Journal::Record& r) {
-  const std::string body = encode_body(r);
-  append_raw(buf, static_cast<std::uint32_t>(body.size()));
-  buf.append(body);
-  append_raw(buf, fnv1a64(body.data(), body.size()));
 }
 
 std::string header_bytes(std::uint64_t job_hash) {
@@ -145,13 +108,7 @@ Journal::Journal(std::string path, std::uint64_t job_hash)
   XLDS_REQUIRE(!path_.empty());
 
   std::string contents;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in) {
-      open_info_.existed = true;
-      contents.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    }
-  }
+  open_info_.existed = util::read_file_bytes(path_, contents);
 
   if (open_info_.existed) {
     Parsed parsed = parse(contents, path_);
@@ -168,7 +125,7 @@ Journal::Journal(std::string path, std::uint64_t job_hash)
       // atomically swap the file, so after this point only one version ever
       // exists on disk.  The torn tail (if any) is dropped by construction.
       std::string fresh = header_bytes(job_hash_);
-      for (const Record& r : records_) frame_record(fresh, r);
+      for (const Record& r : records_) util::append_record(fresh, encode_body(r));
       const std::string tmp = path_ + ".upgrade.tmp";
       {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -196,7 +153,7 @@ Journal::Journal(std::string path, std::uint64_t job_hash)
 void Journal::append(const Record& r) {
   std::string framed;
   framed.reserve(76 + r.fom.note.size());
-  frame_record(framed, r);
+  util::append_record(framed, encode_body(r));
   out_.write(framed.data(), static_cast<std::streamsize>(framed.size()));
   out_.flush();
   XLDS_REQUIRE_MSG(out_.good(), "journal append to '" << path_ << "' failed");
@@ -205,11 +162,7 @@ void Journal::append(const Record& r) {
 
 Journal::InspectInfo Journal::inspect(const std::string& path) {
   std::string contents;
-  {
-    std::ifstream in(path, std::ios::binary);
-    XLDS_REQUIRE_MSG(in, "cannot read journal '" << path << "'");
-    contents.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+  XLDS_REQUIRE_MSG(util::read_file_bytes(path, contents), "cannot read journal '" << path << "'");
   Parsed parsed = parse(contents, path);
   InspectInfo info;
   info.version = parsed.version;

@@ -8,6 +8,7 @@
 //
 //   header:  magic "XLDSJNL1" | format version u32 | job hash u64
 //   record:  body length u32 | body | FNV-1a-64 checksum of the body
+//            (util/record_log.hpp, shared with the result cache)
 //   body v2: point key u64 | fidelity u32 | feasible u8 | pad[3]
 //            | latency f64 | energy f64 | area_mm2 f64 | accuracy f64
 //            | uncertainty f64 | note length u32 | note bytes

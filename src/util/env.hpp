@@ -1,9 +1,9 @@
 // Validated environment-variable parsing for the XLDS_* tuning knobs.
 //
-// XLDS_THREADS / XLDS_SHARDS / XLDS_SCHED only ever change wall-clock
-// behaviour, never results — but a typo'd value silently falling back to a
-// default is still a trap: the user believes they pinned the pool width and
-// the run quietly used every core.  These helpers accept exactly the values
+// XLDS_THREADS / XLDS_SCHED only ever change wall-clock behaviour, never
+// results — but a typo'd value silently falling back to a default is still a
+// trap: the user believes they pinned the pool width and the run quietly
+// used every core.  These helpers accept exactly the values
 // the docs name, and reject everything else with a one-line stderr warning
 // naming the variable, the offending value and the fallback actually used.
 #pragma once

@@ -1,8 +1,9 @@
 // FNV-1a 64-bit — the framework's one content hash.  Header-only and at the
-// bottom of the stack so every layer (journal framing, shard wire protocol,
-// result-cache keys, space identity) chains the *same* bytes-to-bits map:
-// two subsystems hashing the same bytes always agree, which is what lets the
-// cross-run result cache share entries with journal-compatible jobs.
+// bottom of the stack so every layer (the record framing of the journal and
+// the result cache, result-cache keys, space identity) chains the *same*
+// bytes-to-bits map: two subsystems hashing the same bytes always agree,
+// which is what lets the cross-run result cache share entries with
+// journal-compatible jobs.
 #pragma once
 
 #include <cstddef>

@@ -79,7 +79,7 @@ void set_parallel_scheduler(SchedulerMode mode);
 /// forked while the pool's workers exist, every worker thread is gone but the
 /// pool's bookkeeping still says they are running — and a deque or wake mutex
 /// a worker held at the fork instant stays locked forever in the child.  Any
-/// code that forks this process (shard::ShardPool does) MUST call this first:
+/// code that forks this process while the pool may be live MUST call this first:
 /// it waits out any in-flight job, joins and discards every worker thread,
 /// and leaves the pool in a quiesced state (no pool mutex held, no threads)
 /// from which the next parallel call — in the parent or in the child —

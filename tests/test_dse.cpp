@@ -1,8 +1,9 @@
 // Unit tests for the adaptive DSE subsystem: search space indexing, the
-// crash-safe journal, the fidelity ladder, the drivers, and the two
-// headline acceptance properties — budgeted search recovers the brute-force
-// Pareto front, and a killed run resumed from its journal is bit-identical
-// to one that never died.
+// crash-safe journal, the persistent result cache, the fidelity ladder, the
+// drivers, and the headline acceptance properties — budgeted search recovers
+// the brute-force Pareto front, a killed run resumed from its journal is
+// bit-identical to one that never died, and a warm result cache changes no
+// result or journal byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "dse/engine.hpp"
 #include "dse/jobspec.hpp"
 #include "dse/journal.hpp"
+#include "dse/result_cache.hpp"
 #include "dse/space.hpp"
 #include "fault/resilience.hpp"
 #include "util/error.hpp"
@@ -84,6 +86,15 @@ bool same_foms(const ExplorationResult& a, const ExplorationResult& b) {
     if (!same_fom(fa, fb)) return false;
   }
   return true;
+}
+
+bool same_results(const ExplorationResult& a, const ExplorationResult& b) {
+  return same_foms(a, b) && a.front == b.front && a.ranking == b.ranking;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 // ---- search space -----------------------------------------------------------
@@ -184,6 +195,113 @@ TEST(Journal, RejectsForeignFiles) {
   TempPath other("otherjob");
   { Journal j(other.str(), 1); }
   EXPECT_THROW(Journal(other.str(), 2), PreconditionError);  // job hash mismatch
+}
+
+// ---- result cache -----------------------------------------------------------
+
+core::Fom fom_fixture(double scale, bool feasible = true, const std::string& note = "") {
+  core::Fom fom;
+  fom.latency = 1.5e-6 * scale;
+  fom.energy = 2.25e-7 * scale;
+  fom.area_mm2 = 0.125 * scale;
+  fom.accuracy = 0.75 + 0.001 * scale;
+  fom.feasible = feasible;
+  fom.note = note;
+  return fom;
+}
+
+TEST(ResultCache, RoundTripsAcrossReopen) {
+  TempPath path("cache");
+  const core::Fom fom = fom_fixture(3.0, true, "note with, comma");
+  {
+    ResultCache cache(path.str());
+    EXPECT_FALSE(cache.stats().existed);
+    EXPECT_EQ(cache.find(1, 2, 3), nullptr);  // miss
+    cache.insert(1, 2, 3, fom);
+    const core::Fom* hit = cache.find(1, 2, 3);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->latency, fom.latency);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+  }
+  {
+    ResultCache cache(path.str());
+    EXPECT_TRUE(cache.stats().existed);
+    EXPECT_EQ(cache.stats().loaded, 1u);
+    const core::Fom* hit = cache.find(1, 2, 3);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->latency, fom.latency);
+    EXPECT_EQ(hit->energy, fom.energy);
+    EXPECT_EQ(hit->accuracy, fom.accuracy);
+    EXPECT_EQ(hit->note, fom.note);
+    // Different tier / point / space: distinct keys, all misses.
+    EXPECT_EQ(cache.find(1, 2, 0), nullptr);
+    EXPECT_EQ(cache.find(1, 9, 3), nullptr);
+    EXPECT_EQ(cache.find(9, 2, 3), nullptr);
+  }
+  // Both runs closed with lookups -> two session records on disk.
+  const ResultCache::InspectInfo info = ResultCache::inspect(path.str());
+  EXPECT_EQ(info.results.size(), 1u);
+  EXPECT_EQ(info.sessions.size(), 2u);
+  EXPECT_EQ(info.sessions[0].hits, 1u);
+  EXPECT_EQ(info.sessions[0].misses, 1u);
+  EXPECT_EQ(info.dropped_bytes, 0u);
+}
+
+TEST(ResultCache, TruncatesTornTailOnOpenAndInspectReportsIt) {
+  TempPath path("cache_torn");
+  {
+    ResultCache cache(path.str());
+    cache.insert(1, 1, 1, fom_fixture(1.0));
+    cache.insert(1, 2, 1, fom_fixture(2.0));
+  }
+  // Append half a record's worth of garbage, as a crash mid-append would.
+  const std::size_t intact = fs::file_size(path.str());
+  {
+    std::ofstream out(path.str(), std::ios::binary | std::ios::app);
+    out << "torn-rec";
+  }
+  EXPECT_EQ(ResultCache::inspect(path.str()).dropped_bytes, 8u);
+  {
+    ResultCache cache(path.str());
+    EXPECT_EQ(cache.stats().loaded, 2u);
+    EXPECT_EQ(cache.stats().dropped_bytes, 8u);
+  }
+  EXPECT_EQ(fs::file_size(path.str()), intact);  // truncated back to the good prefix
+
+  // A corrupted byte *inside* an intact record drops it and everything after.
+  {
+    std::fstream f(path.str(), std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(static_cast<std::streamoff>(intact) - 20);
+    f.put('\x7f');
+  }
+  const ResultCache::InspectInfo info = ResultCache::inspect(path.str());
+  EXPECT_LT(info.results.size(), 2u);
+  EXPECT_GT(info.dropped_bytes, 0u);
+}
+
+TEST(ResultCache, RejectsForeignFiles) {
+  TempPath path("cache_foreign");
+  {
+    std::ofstream out(path.str(), std::ios::binary);
+    out << "this is not a cache file at all";
+  }
+  EXPECT_THROW(ResultCache cache(path.str()), PreconditionError);
+  EXPECT_THROW(ResultCache::inspect(path.str()), PreconditionError);
+}
+
+TEST(ResultCache, PointHashSeparatesAxesAndApplication) {
+  core::DesignPoint a;
+  a.device = device::DeviceKind::kRram;
+  a.arch = core::ArchKind::kCamAccelerator;
+  a.algo = core::AlgoKind::kHdc;
+  core::DesignPoint b = a;
+  EXPECT_EQ(cache_point_hash(a), cache_point_hash(b));
+  b.algo = core::AlgoKind::kMann;
+  EXPECT_NE(cache_point_hash(a), cache_point_hash(b));
+  b = a;
+  b.application = "mnist-like";
+  EXPECT_NE(cache_point_hash(a), cache_point_hash(b));
 }
 
 // ---- fidelity ladder --------------------------------------------------------
@@ -392,6 +510,80 @@ TEST(Acceptance, ResumeSurvivesTornJournalTail) {
   EXPECT_EQ(reference.front, resumed.front);
 }
 
+// ---- acceptance: the result cache is speed-only -----------------------------
+
+EngineConfig cached_job_config(std::uint64_t seed) {
+  EngineConfig config;
+  config.application = "isolet-like";
+  config.strategy = "nsga2";
+  config.budget = 40;
+  config.seed = seed;
+  config.fidelity.max_fidelity = Fidelity::kNodal;
+  return config;
+}
+
+TEST(Acceptance, WarmCacheServesEverythingAndChangesNoBytes) {
+  TempPath cache("warm");
+  TempPath j_cold("cold");
+  TempPath j_warm("warmj");
+
+  EngineConfig config = cached_job_config(17);
+  config.cache_path = cache.str();
+  config.journal_path = j_cold.str();
+  const ExplorationResult cold = explore(config);
+  EXPECT_EQ(cold.stats.cache_hits, 0u);
+  EXPECT_EQ(cold.stats.cache_appends, cold.stats.computed);
+  EXPECT_GT(cold.stats.cache_appends, 0u);
+
+  config.journal_path = j_warm.str();
+  const ExplorationResult warm = explore(config);
+  EXPECT_EQ(warm.stats.computed, 0u);
+  EXPECT_EQ(warm.stats.cache_hits, cold.stats.computed);
+  EXPECT_TRUE(same_results(cold, warm));
+  EXPECT_EQ(read_bytes(j_cold.str()), read_bytes(j_warm.str()));
+}
+
+TEST(Acceptance, CacheIsSharedAcrossOverlappingJobSpaces) {
+  TempPath cache("overlap");
+
+  // Full-grid job populates the cache...
+  EngineConfig config = cached_job_config(19);
+  config.cache_path = cache.str();
+  const ExplorationResult full = explore(config);
+  EXPECT_GT(full.stats.cache_appends, 0u);
+
+  // ...and a job restricted to a sub-space reuses the overlapping entries:
+  // same ladder + application, different axes, same cache keys.
+  EngineConfig restricted = cached_job_config(23);
+  restricted.cache_path = cache.str();
+  restricted.budget = 10;
+  restricted.axes.archs = {core::ArchKind::kCamAccelerator, core::ArchKind::kGpu,
+                           core::ArchKind::kCrossbarAccelerator};
+  const ExplorationResult sub = explore(restricted);
+  EXPECT_GT(sub.stats.cache_hits, 0u);
+}
+
+TEST(Acceptance, CacheComposesWithJournalResume) {
+  TempPath cache("resume_cache");
+  TempPath journal("resume_cached");
+
+  // Crash a cached run part-way via the abort hook...
+  EngineConfig config = cached_job_config(29);
+  config.cache_path = cache.str();
+  config.journal_path = journal.str();
+  config.abort_after_computed = 7;
+  EXPECT_THROW(explore(config), AbortInjected);
+
+  // ...resume it against the same cache, and compare against an
+  // uninterrupted cache-less run.
+  config.abort_after_computed = 0;
+  const ExplorationResult resumed = explore(config);
+  EXPECT_TRUE(resumed.stats.resumed);
+  EXPECT_EQ(resumed.stats.journal_hits, 7u);
+  EXPECT_EQ(resumed.stats.cache_hits, 0u);  // the crashed run's appends are journal hits
+  EXPECT_TRUE(same_results(explore(cached_job_config(29)), resumed));
+}
+
 // ---- determinism across thread counts ---------------------------------------
 
 TEST(Engine, ThreadCountDoesNotChangeResults) {
@@ -586,6 +778,8 @@ TEST(JobSpec, RejectsTyposAndBadNames) {
   EXPECT_THROW(config_from_spec_text(R"({"fidelity": {"max": "spice"}})"),
                PreconditionError);
   EXPECT_THROW(config_from_spec_text(R"({"budget": -3})"), PreconditionError);
+  // The removed multi-process knob is an unknown key, not a silent no-op.
+  EXPECT_THROW(config_from_spec_text(R"({"shards": 4})"), PreconditionError);
 }
 
 TEST(JobSpec, ResultSerialisationRoundTrips) {

@@ -1,7 +1,8 @@
 // Tests for the deterministic parallel execution layer: chunking/edge cases,
 // exception propagation, and the core invariant — results are bit-identical
 // regardless of the thread count — exercised on the Monte Carlo variation
-// sweep, the red-black nodal solver and the full triage evaluate_all path.
+// sweep, the red-black nodal solver and the full triage evaluate_all path —
+// plus the pre-fork quiesce contract.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -236,6 +237,21 @@ TEST_F(ParallelTest, EvaluationCachesAreHitDuringSweeps) {
   ASSERT_EQ(first.size(), again.size());
   for (std::size_t i = 0; i < first.size(); ++i)
     EXPECT_TRUE(fom_equal(first[i], again[i])) << "point " << i;
+}
+
+TEST(ForkSafety, QuiesceThenParallelRebuildsAndResultsAreUnchanged) {
+  set_parallel_threads(4);
+  const auto sum_squares = [] {
+    return parallel_sum(1000, 0, [](std::size_t i) { return static_cast<double>(i * i); });
+  };
+  const double before = sum_squares();
+  parallel_quiesce_for_fork();
+  // The pool lazily rebuilds on the next call; values are unchanged.
+  EXPECT_EQ(sum_squares(), before);
+  parallel_quiesce_for_fork();
+  parallel_quiesce_for_fork();  // idempotent
+  EXPECT_EQ(sum_squares(), before);
+  set_parallel_threads(0);
 }
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Unit tests for the util module: RNG, statistics, matrix, units, table.
+// Unit tests for the util module: RNG, statistics, matrix, units, table,
+// argument and environment parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <sstream>
 
 #include "util/argparse.hpp"
+#include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/matrix.hpp"
@@ -436,6 +439,40 @@ TEST(ArgParse, MissingValueIsAnError) {
   std::ostringstream out, err;
   EXPECT_FALSE(args.parse(2, argv, out, err));
   EXPECT_FALSE(args.help_requested());
+}
+
+TEST(Env, ParsePositiveCountIsStrict) {
+  using util::parse_positive_count;
+  EXPECT_EQ(parse_positive_count("1"), 1u);
+  EXPECT_EQ(parse_positive_count("64"), 64u);
+  EXPECT_EQ(parse_positive_count("0"), std::nullopt);
+  EXPECT_EQ(parse_positive_count(""), std::nullopt);
+  EXPECT_EQ(parse_positive_count("-3"), std::nullopt);
+  EXPECT_EQ(parse_positive_count("+3"), std::nullopt);
+  EXPECT_EQ(parse_positive_count(" 3"), std::nullopt);
+  EXPECT_EQ(parse_positive_count("3 "), std::nullopt);
+  EXPECT_EQ(parse_positive_count("3x"), std::nullopt);
+  EXPECT_EQ(parse_positive_count("0x10"), std::nullopt);
+  EXPECT_EQ(parse_positive_count("99999999999999999999999999"), std::nullopt);  // overflow
+}
+
+TEST(Env, EnvHelpersWarnAndFallBack) {
+  ::setenv("XLDS_TEST_COUNT", "4", 1);
+  EXPECT_EQ(util::env_positive_count("XLDS_TEST_COUNT", 1), 4u);
+  ::setenv("XLDS_TEST_COUNT", "zero", 1);
+  EXPECT_EQ(util::env_positive_count("XLDS_TEST_COUNT", 1), 1u);  // + a stderr warning
+  ::setenv("XLDS_TEST_COUNT", "0", 1);
+  EXPECT_EQ(util::env_positive_count("XLDS_TEST_COUNT", 1), 1u);
+  ::unsetenv("XLDS_TEST_COUNT");
+  EXPECT_EQ(util::env_positive_count("XLDS_TEST_COUNT", 1), 1u);
+
+  static const char* const kModes[] = {"steal", "static", nullptr};
+  ::setenv("XLDS_TEST_CHOICE", "static", 1);
+  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "static");
+  ::setenv("XLDS_TEST_CHOICE", "dynamic", 1);
+  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "steal");
+  ::unsetenv("XLDS_TEST_CHOICE");
+  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "steal");
 }
 
 }  // namespace

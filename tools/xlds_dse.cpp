@@ -3,7 +3,7 @@
 //   xlds-dse --spec job.json [--out result.json] [--csv result.csv]
 //            [--journal path] [--seed N] [--budget N] [--strategy name]
 //            [--surrogate on|off] [--surrogate-refit N] [--surrogate-uncertainty X]
-//            [--surrogate-qpc N] [--shards N] [--cache path]
+//            [--surrogate-qpc N] [--cache path]
 //            [--threads N] [--sched steal|static] [--no-stats]
 //
 // The spec carries the full job description (see src/dse/jobspec.hpp);
@@ -55,9 +55,6 @@ int main(int argc, char** argv) {
   args.add_option("surrogate-uncertainty",
                   "promote predictions with relative std above this threshold");
   args.add_option("surrogate-qpc", "surrogate queries exchanged per ladder budget charge");
-  args.add_option("shards",
-                  "evaluation shard processes: 1 = in-process (default: XLDS_SHARDS or 1); "
-                  "speed-only, results are bit-identical at any count");
   args.add_option("cache",
                   "persistent cross-run result cache file (overrides the spec's \"cache\")");
   args.add_flag("no-stats", "omit run statistics from the JSON (resume-comparable output)");
@@ -84,10 +81,6 @@ int main(int argc, char** argv) {
       config.surrogate.promote_uncertainty = args.num("surrogate-uncertainty");
     if (args.provided("surrogate-qpc"))
       config.surrogate.queries_per_charge = args.uinteger("surrogate-qpc");
-    if (args.provided("shards")) {
-      config.shards = args.uinteger("shards");
-      XLDS_REQUIRE_MSG(config.shards >= 1, "--shards takes a positive count");
-    }
     if (args.provided("cache")) config.cache_path = args.str("cache");
     xlds::util::apply_bench_options(args);
 
@@ -113,13 +106,9 @@ int main(int argc, char** argv) {
                 << s.surrogate_refits << " refits, " << s.surrogate_disagreements
                 << " disagreements\n";
     }
-    if (result.stats.shards_used > 1 || !config.cache_path.empty()) {
-      const auto& s = result.stats;
-      std::cerr << "xlds-dse: shards: " << s.shards_used << " workers, " << s.shard_requests
-                << " requests (" << s.shard_redispatches << " redispatched, "
-                << s.shard_respawns << " respawns); cache: " << s.cache_hits << " hits, "
-                << s.cache_appends << " appends\n";
-    }
+    if (!config.cache_path.empty())
+      std::cerr << "xlds-dse: cache: " << result.stats.cache_hits << " hits, "
+                << result.stats.cache_appends << " appends\n";
     const auto& nodal = result.stats.nodal;
     std::cerr << "xlds-dse: nodal solver work: " << nodal.factorizations
               << " factorizations, " << nodal.incremental_updates << " incremental updates ("

@@ -26,7 +26,7 @@
 
 #include "dse/fidelity.hpp"
 #include "dse/journal.hpp"
-#include "shard/result_cache.hpp"
+#include "dse/result_cache.hpp"
 #include "util/argparse.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -53,7 +53,7 @@ void write_file(const std::string& path, const std::string& contents) {
 }
 
 /// The `cache` subcommand: read-only inspection of a persistent cross-run
-/// result cache (shard::ResultCache) — record counts by tier, the distinct
+/// result cache (dse::ResultCache) — record counts by tier, the distinct
 /// job spaces sharing the file, and the hit-rate history its session
 /// records accumulated.  Like the journal inspection, never truncates.
 int run_cache_subcommand(int argc, char** argv) {
@@ -68,12 +68,12 @@ int run_cache_subcommand(int argc, char** argv) {
   try {
     XLDS_REQUIRE_MSG(args.provided("file"), "--file is required (see --help)");
     const std::string path = args.str("file");
-    const shard::ResultCache::InspectInfo info = shard::ResultCache::inspect(path);
+    const dse::ResultCache::InspectInfo info = dse::ResultCache::inspect(path);
 
     std::array<std::size_t, dse::kFidelityTiers> by_tier{};
     std::set<std::uint64_t> spaces;
     std::size_t feasible = 0;
-    for (const shard::ResultCache::ResultRecord& r : info.results) {
+    for (const dse::ResultCache::ResultRecord& r : info.results) {
       XLDS_REQUIRE_MSG(r.tier < dse::kFidelityTiers,
                        "record carries unknown fidelity tier " << r.tier);
       ++by_tier[r.tier];
@@ -93,7 +93,7 @@ int run_cache_subcommand(int argc, char** argv) {
       std::cout << "sessions: " << info.sessions.size() << "\n";
       std::uint64_t hits = 0;
       std::uint64_t misses = 0;
-      for (const shard::ResultCache::SessionRecord& s : info.sessions) {
+      for (const dse::ResultCache::SessionRecord& s : info.sessions) {
         hits += s.hits;
         misses += s.misses;
       }
@@ -113,7 +113,7 @@ int run_cache_subcommand(int argc, char** argv) {
 
     if (args.provided("csv")) {
       std::string csv = "space_hash,point_hash,tier,feasible,latency_s,energy_j,area_mm2,accuracy\n";
-      for (const shard::ResultCache::ResultRecord& r : info.results)
+      for (const dse::ResultCache::ResultRecord& r : info.results)
         csv += format_hex64(r.space_hash) + ',' + format_hex64(r.point_hash) + ',' +
                dse::to_string(static_cast<dse::Fidelity>(r.tier)) + ',' +
                (r.fom.feasible ? "1," : "0,") + format_g(r.fom.latency) + ',' +
