@@ -73,13 +73,11 @@ struct TimedRun {
   std::string journal;  ///< journal bytes after the run
 };
 
-/// Cold = honestly cold: both process-wide memo layers are dropped first, so
-/// only the result cache (if any) can serve an evaluation.
+/// Cold = honestly cold: every explore() builds its own ladder, whose memos
+/// start empty, so only the result cache (if any) can serve an evaluation.
 TimedRun timed_explore(dse::EngineConfig config, const std::string& journal_path) {
   config.journal_path = journal_path;
   fs::remove(journal_path);
-  dse::clear_fidelity_caches();
-  core::clear_evaluation_caches();
   TimedRun run;
   const double t0 = now_s();
   run.result = dse::explore(config);

@@ -1,10 +1,7 @@
 #include "core/evaluate.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <mutex>
-#include <unordered_map>
 
 #include "arch/hdc_mapping.hpp"
 #include "arch/mann_mapping.hpp"
@@ -25,19 +22,6 @@ constexpr std::size_t kTileLogicalCols = 32;  // 64 physical, differential
 constexpr std::size_t kParallelTiles = 32;
 constexpr double kLifetimeInferences = 1e9;  // deployment horizon for endurance
 
-// Memo caches.  Both cached computations are pure functions of their key, so
-// a miss computed concurrently by two threads produces the same value — the
-// mutex only protects the map structure, and work is done outside it.
-std::mutex g_tile_cache_mutex;
-std::unordered_map<int, xbar::MvmCost> g_tile_cache;
-std::atomic<std::size_t> g_tile_lookups{0};
-std::atomic<std::size_t> g_tile_hits{0};
-
-std::mutex g_cam_cache_mutex;
-std::unordered_map<evacam::CamDesignSpec, evacam::CamFom, evacam::CamSpecHash> g_cam_cache;
-std::atomic<std::size_t> g_cam_lookups{0};
-std::atomic<std::size_t> g_cam_hits{0};
-
 xbar::MvmCost compute_tile_cost(device::DeviceKind dev) {
   xbar::CrossbarConfig cfg;
   cfg.rows = kTileRows;
@@ -49,50 +33,6 @@ xbar::MvmCost compute_tile_cost(device::DeviceKind dev) {
   (void)dev;
   Rng rng(1);
   return xbar::Crossbar(cfg, rng).mvm_cost();
-}
-
-xbar::MvmCost canonical_tile_cost(device::DeviceKind dev) {
-  const int key = static_cast<int>(dev);
-  g_tile_lookups.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(g_tile_cache_mutex);
-    const auto it = g_tile_cache.find(key);
-    if (it != g_tile_cache.end()) {
-      g_tile_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  const xbar::MvmCost cost = compute_tile_cost(dev);
-  std::lock_guard<std::mutex> lk(g_tile_cache_mutex);
-  g_tile_cache.emplace(key, cost);
-  return cost;
-}
-
-evacam::CamFom cached_cam_fom(const evacam::CamDesignSpec& spec) {
-  g_cam_lookups.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(g_cam_cache_mutex);
-    const auto it = g_cam_cache.find(spec);
-    if (it != g_cam_cache.end()) {
-      g_cam_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  const evacam::CamFom fom = evacam::EvaCam(spec).evaluate();  // expensive; outside the lock
-  std::lock_guard<std::mutex> lk(g_cam_cache_mutex);
-  g_cam_cache.emplace(spec, fom);
-  return fom;
-}
-
-/// Latency/energy of `macs` worth of MVM work on tiled crossbars.
-xbar::MvmCost tiled_mvm_cost(device::DeviceKind dev, double macs) {
-  const xbar::MvmCost tile = canonical_tile_cost(dev);
-  const double macs_per_tile = static_cast<double>(kTileRows * kTileLogicalCols);
-  const double tile_ops = std::ceil(macs / macs_per_tile);
-  xbar::MvmCost cost;
-  cost.latency = std::ceil(tile_ops / static_cast<double>(kParallelTiles)) * tile.latency;
-  cost.energy = tile_ops * tile.energy;
-  return cost;
 }
 
 const arch::Platform& platform_for(ArchKind arch) {
@@ -194,6 +134,16 @@ Evaluator::Evaluator(AccuracyOracle oracle) : oracle_(std::move(oracle)) {
   XLDS_REQUIRE(oracle_ != nullptr);
 }
 
+xbar::MvmCost Evaluator::tiled_mvm_cost(device::DeviceKind dev, double macs) const {
+  const xbar::MvmCost tile = tile_costs_.get(dev, [dev] { return compute_tile_cost(dev); });
+  const double macs_per_tile = static_cast<double>(kTileRows * kTileLogicalCols);
+  const double tile_ops = std::ceil(macs / macs_per_tile);
+  xbar::MvmCost cost;
+  cost.latency = std::ceil(tile_ops / static_cast<double>(kParallelTiles)) * tile.latency;
+  cost.energy = tile_ops * tile.energy;
+  return cost;
+}
+
 Fom Evaluator::evaluate_digital(const DesignPoint& p, const AppProfile& profile) const {
   const arch::Platform& plat = platform_for(p.arch);
   arch::KernelCost cost;
@@ -244,7 +194,8 @@ Fom Evaluator::evaluate_in_memory(const DesignPoint& p, const AppProfile& profil
   const bool needs_cam =
       p.arch == ArchKind::kCamAccelerator || p.arch == ArchKind::kCamXbarHybrid;
   if (needs_cam) {
-    cam_fom = cached_cam_fom(cam_spec_for_point(p, profile));
+    const evacam::CamDesignSpec spec = cam_spec_for_point(p, profile);
+    cam_fom = cam_foms_.get(spec, [&spec] { return evacam::EvaCam(spec).evaluate(); });
     if (cam_fom.max_ml_columns < 16) {
       fom.feasible = false;
       fom.note = "sense margin limits matchline to " +
@@ -320,30 +271,6 @@ std::vector<Fom> Evaluator::evaluate_all(const std::vector<EnumeratedPoint>& poi
     }
     return evaluate(ep.point, profile);
   });
-}
-
-EvalCacheStats evaluation_cache_stats() {
-  EvalCacheStats s;
-  s.tile_cost_lookups = g_tile_lookups.load(std::memory_order_relaxed);
-  s.tile_cost_hits = g_tile_hits.load(std::memory_order_relaxed);
-  s.cam_fom_lookups = g_cam_lookups.load(std::memory_order_relaxed);
-  s.cam_fom_hits = g_cam_hits.load(std::memory_order_relaxed);
-  return s;
-}
-
-void clear_evaluation_caches() {
-  {
-    std::lock_guard<std::mutex> lk(g_tile_cache_mutex);
-    g_tile_cache.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lk(g_cam_cache_mutex);
-    g_cam_cache.clear();
-  }
-  g_tile_lookups.store(0, std::memory_order_relaxed);
-  g_tile_hits.store(0, std::memory_order_relaxed);
-  g_cam_lookups.store(0, std::memory_order_relaxed);
-  g_cam_hits.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace xlds::core

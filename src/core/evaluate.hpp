@@ -11,6 +11,8 @@
 
 #include "core/design_space.hpp"
 #include "evacam/evacam.hpp"
+#include "util/memo.hpp"
+#include "xbar/crossbar.hpp"
 
 namespace xlds::core {
 
@@ -47,21 +49,6 @@ using AccuracyOracle = std::function<double(const DesignPoint&, const AppProfile
 
 double default_accuracy_oracle(const DesignPoint& p, const AppProfile& profile);
 
-/// Hit counters of the process-wide evaluation memo caches: the canonical
-/// crossbar tile cost (keyed by device kind) and Eva-CAM projections (keyed
-/// by the full CamDesignSpec).  Both caches are shared by every Evaluator
-/// and thread-safe; entries are pure functions of their key, so caching
-/// never changes results — only the sweep's wall clock.
-struct EvalCacheStats {
-  std::size_t tile_cost_lookups = 0;
-  std::size_t tile_cost_hits = 0;
-  std::size_t cam_fom_lookups = 0;
-  std::size_t cam_fom_hits = 0;
-};
-
-EvalCacheStats evaluation_cache_stats();
-void clear_evaluation_caches();
-
 /// The canonical CAM macro a design point's associative-search stage maps to
 /// (capacity from the profile, cell topology from the device).  Shared with
 /// the DSE fidelity ladder so higher-fidelity refinements analyse the same
@@ -83,11 +70,23 @@ class Evaluator {
   std::vector<Fom> evaluate_all(const std::vector<EnumeratedPoint>& points,
                                 const AppProfile& profile) const;
 
+  /// Counters of this evaluator's memos: the canonical crossbar tile cost
+  /// (keyed by device kind) and the Eva-CAM projections (keyed by the full
+  /// CamDesignSpec).  Entries are pure functions of their key, so the memos
+  /// never change a result — only the sweep's wall clock — and a new
+  /// evaluator starts cold.
+  util::MemoStats tile_cost_stats() const { return tile_costs_.stats(); }
+  util::MemoStats cam_fom_stats() const { return cam_foms_.stats(); }
+
  private:
   Fom evaluate_digital(const DesignPoint& p, const AppProfile& profile) const;
   Fom evaluate_in_memory(const DesignPoint& p, const AppProfile& profile) const;
+  /// Latency/energy of `macs` worth of MVM work on tiled crossbars.
+  xbar::MvmCost tiled_mvm_cost(device::DeviceKind dev, double macs) const;
 
   AccuracyOracle oracle_;
+  mutable util::Memo<device::DeviceKind, xbar::MvmCost> tile_costs_;
+  mutable util::Memo<evacam::CamDesignSpec, evacam::CamFom, evacam::CamSpecHash> cam_foms_;
 };
 
 }  // namespace xlds::core

@@ -6,14 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <set>
-#include <tuple>
 
 #include "dse/space.hpp"
-#include "fault/resilience.hpp"
 #include "kernels/sampler.hpp"
 #include "nvsim/explorer.hpp"
 #include "util/error.hpp"
@@ -49,49 +44,15 @@ std::string percent(double fraction) {
   return buf;
 }
 
-// --- the ladder's one memo: process-wide, single-flight per key -----------
-//
-// The first caller computes outside the map lock; concurrent callers for the
-// same key wait on its once_flag instead of recomputing (so a job's
-// factorization count cannot depend on the thread count); different keys
-// compute concurrently.  No mutex is held while a value computes.  The
-// shared_ptr keeps a slot alive across a concurrent clear().
-template <class Key, class Value>
-class SingleFlight {
- public:
-  template <class Compute>
-  Value get(const Key& key, Compute&& compute) {
-    std::shared_ptr<Slot> slot;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      std::shared_ptr<Slot>& entry = slots_[key];
-      if (entry == nullptr) entry = std::make_shared<Slot>();
-      slot = entry;
-    }
-    std::call_once(slot->once, [&] { slot->value = compute(); });
-    return slot->value;
-  }
-  void clear() {
-    std::lock_guard<std::mutex> lk(mutex_);
-    slots_.clear();
-  }
-
- private:
-  struct Slot { std::once_flag once; Value value{}; };
-  std::mutex mutex_;
-  std::map<Key, std::shared_ptr<Slot>> slots_;
-};
-
 // --- nodal tier: IR-drop model error on the canonical 64x64 tile ----------
 //
 // The analytic triage model costs MVMs with the two-pass IR-drop estimate;
 // the nodal rung measures how far that estimate sits from the Gauss-Seidel
 // ground truth on a half-loaded tile and charges the gap against accuracy
 // (unmodelled IR drop is computation error, not just delay).  One solve per
-// device kind, memoised process-wide: the solve is a pure function of the
-// device, and a search promotes many points per device.
-SingleFlight<device::DeviceKind, double> g_ir_errors;
-
+// device kind, memoised on the ladder (single-flight, so a job's
+// factorization count cannot depend on the thread count): the solve is a
+// pure function of the device, and a search promotes many points per device.
 constexpr std::uint64_t kTileSeed = 0x9e3779b97f4a7c15ull;
 
 double nodal_ir_error_uncached(device::DeviceKind dev) {
@@ -137,21 +98,6 @@ double nodal_ir_error_uncached(device::DeviceKind dev) {
   return n > 0 ? err / static_cast<double>(n) : 0.0;
 }
 
-double nodal_ir_error(device::DeviceKind dev) {
-  return g_ir_errors.get(dev, [dev] { return nodal_ir_error_uncached(dev); });
-}
-
-// --- Monte-Carlo tier: resilience probe, memoised per (rate, age, seed) ---
-SingleFlight<std::tuple<double, double, std::uint64_t>, fault::ResilienceReport> g_probes;
-
-fault::ResilienceReport probe_report(const FidelityConfig& c) {
-  return g_probes.get({c.mc_fault_rate, c.mc_age_s, c.mc_seed}, [&c] {
-    return fault::ResilienceEvaluator(
-               fault::dse_probe_config(c.mc_fault_rate, c.mc_age_s, c.mc_seed))
-        .run();
-  });
-}
-
 }  // namespace
 
 std::string to_string(Fidelity f) {
@@ -174,11 +120,6 @@ Fidelity fidelity_from_string(const std::string& name) {
   return Fidelity::kAnalytic;
 }
 
-void clear_fidelity_caches() {
-  g_ir_errors.clear();
-  g_probes.clear();
-}
-
 FidelityLadder::FidelityLadder(FidelityConfig config, core::AppProfile profile,
                                core::AccuracyOracle oracle)
     : config_(config), profile_(std::move(profile)), evaluator_(std::move(oracle)) {
@@ -187,6 +128,20 @@ FidelityLadder::FidelityLadder(FidelityConfig config, core::AppProfile profile,
   XLDS_REQUIRE(config_.variation_sigma_rel >= 0.0);
   XLDS_REQUIRE(config_.mc_fault_rate >= 0.0 && config_.mc_fault_rate <= 1.0);
   XLDS_REQUIRE(config_.mc_age_s >= 0.0);
+}
+
+double FidelityLadder::nodal_ir_error(device::DeviceKind dev) const {
+  return ir_errors_.get(dev, [dev] { return nodal_ir_error_uncached(dev); });
+}
+
+// --- Monte-Carlo tier: the resilience probe at config_'s (rate, age, seed) --
+fault::ResilienceReport FidelityLadder::probe_report() const {
+  return probe_.get(0, [this] {
+    return fault::ResilienceEvaluator(fault::dse_probe_config(
+                                          config_.mc_fault_rate, config_.mc_age_s,
+                                          config_.mc_seed))
+        .run();
+  });
 }
 
 core::Fom FidelityLadder::evaluate(const core::DesignPoint& p, Fidelity tier) const {
@@ -241,9 +196,9 @@ std::vector<core::Fom> FidelityLadder::evaluate_batch(const std::vector<core::De
                           margins[i].max_ml_columns_with_variation < kMinMatchlineColumns));
     }
     std::vector<std::function<void()>> artifacts;
-    if (probe) artifacts.emplace_back([this] { (void)probe_report(config_); });
+    if (probe) artifacts.emplace_back([this] { (void)probe_report(); });
     for (const device::DeviceKind dev : tiles)
-      artifacts.emplace_back([dev] { (void)nodal_ir_error(dev); });
+      artifacts.emplace_back([this, dev] { (void)nodal_ir_error(dev); });
     timed_for(artifacts.size(), [&](std::size_t k) { artifacts[k](); });
 
     // Stage 3: the per-point refinements; they only read memoised artifacts.
@@ -297,7 +252,7 @@ core::Fom FidelityLadder::refine_monte_carlo(const core::DesignPoint& p, core::F
   const double writes = profile_.writes_per_inference * 1e9;
 
   if (is_hdc_or_mann(p.algo)) {
-    const fault::ResilienceReport rep = probe_report(config_);
+    const fault::ResilienceReport rep = probe_report();
     const std::size_t n_times = 2;  // probe grid is {0, rate} x {0, age}
     const auto& clean = rep.at(0, 0, n_times);
     const auto& faulty = rep.at(1, 1, n_times);

@@ -37,6 +37,8 @@
 
 #include "core/design_space.hpp"
 #include "core/evaluate.hpp"
+#include "fault/resilience.hpp"
+#include "util/memo.hpp"
 
 namespace xlds::dse {
 
@@ -51,13 +53,6 @@ constexpr std::size_t kFidelityTiers = 4;
 
 std::string to_string(Fidelity f);
 Fidelity fidelity_from_string(const std::string& name);
-
-/// Drop the process-wide ladder memo caches (the per-device nodal IR-drop
-/// errors and the per-(rate, age, seed) Monte-Carlo probe reports).  Values
-/// are pure functions of their keys, so clearing only costs recompute time —
-/// benches call this (plus core::clear_evaluation_caches()) between timed
-/// runs so a "cold" measurement is honestly cold.
-void clear_fidelity_caches();
 
 struct FidelityConfig {
   /// Top physics rung for the job (>= kAnalytic: the surrogate rung is not a
@@ -78,6 +73,11 @@ struct FidelityConfig {
   std::uint64_t mc_seed = 99;
 };
 
+/// One ladder serves one job.  It owns the job's memos — the analytic tier's
+/// core::Evaluator (tile costs, Eva-CAM projections), the per-device nodal
+/// IR-drop errors and the Monte-Carlo probe report — so a new ladder starts
+/// cold by construction.  The probe's seed-level training contexts are the
+/// one process-wide memo (fault::resilience_cache_stats()).
 class FidelityLadder {
  public:
   FidelityLadder(FidelityConfig config, core::AppProfile profile,
@@ -113,10 +113,15 @@ class FidelityLadder {
   core::Fom refine_nodal(const core::DesignPoint& p, core::Fom fom,
                          const evacam::CamFom& var) const;
   core::Fom refine_monte_carlo(const core::DesignPoint& p, core::Fom fom) const;
+  double nodal_ir_error(device::DeviceKind dev) const;
+  fault::ResilienceReport probe_report() const;
 
   FidelityConfig config_;
   core::AppProfile profile_;
   core::Evaluator evaluator_;
+  mutable util::Memo<device::DeviceKind, double> ir_errors_;
+  /// One slot (key 0): the probe is fixed by config_'s (rate, age, seed).
+  mutable util::Memo<int, fault::ResilienceReport> probe_;
 };
 
 }  // namespace xlds::dse

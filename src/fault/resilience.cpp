@@ -1,17 +1,15 @@
 #include "fault/resilience.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "hdc/cam_inference.hpp"
 #include "mann/lsh.hpp"
 #include "nn/network.hpp"
 #include "util/error.hpp"
+#include "util/memo.hpp"
 #include "util/parallel.hpp"
 
 namespace xlds::fault {
@@ -110,14 +108,10 @@ struct MannContext {
   std::vector<EpisodeFeatures> episodes;
 };
 
-// Memo caches (see core/evaluate.cpp for the idiom): pure functions of their
-// key, mutex guards only the map, work happens outside the lock.
-std::mutex g_hdc_cache_mutex;
-std::unordered_map<std::uint64_t, std::shared_ptr<const HdcContext>> g_hdc_cache;
-std::mutex g_mann_cache_mutex;
-std::unordered_map<std::uint64_t, std::shared_ptr<const MannContext>> g_mann_cache;
-std::atomic<std::size_t> g_ctx_lookups{0};
-std::atomic<std::size_t> g_ctx_hits{0};
+// Process-wide on purpose: many short-lived evaluators (policy variants of a
+// sweep, every fidelity-ladder probe) share the trained contexts.
+util::Memo<std::uint64_t, std::shared_ptr<const HdcContext>> g_hdc_contexts;
+util::Memo<std::uint64_t, std::shared_ptr<const MannContext>> g_mann_contexts;
 
 std::shared_ptr<const HdcContext> build_hdc_context(const ResilienceConfig& cfg,
                                                     std::size_t seed_index) {
@@ -174,24 +168,6 @@ std::shared_ptr<const MannContext> build_mann_context(const ResilienceConfig& cf
     ctx->episodes.push_back(std::move(ef));
   }
   return ctx;
-}
-
-template <typename Context, typename Build>
-std::shared_ptr<const Context> cached_context(
-    std::mutex& mutex, std::unordered_map<std::uint64_t, std::shared_ptr<const Context>>& cache,
-    std::uint64_t key, Build&& build) {
-  g_ctx_lookups.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(mutex);
-    const auto it = cache.find(key);
-    if (it != cache.end()) {
-      g_ctx_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  std::shared_ptr<const Context> ctx = build();
-  std::lock_guard<std::mutex> lk(mutex);
-  return cache.emplace(key, std::move(ctx)).first->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -322,14 +298,12 @@ ResilienceReport ResilienceEvaluator::run() const {
     for (std::size_t k = begin; k < end; ++k) {
       const std::size_t s = k / 2;
       if (k % 2 == 0) {
-        mann_ctx[s] = cached_context<MannContext>(
-            g_mann_cache_mutex, g_mann_cache, mann_context_key(config_, s),
-            [&] { return build_mann_context(config_, s); });
+        mann_ctx[s] = g_mann_contexts.get(mann_context_key(config_, s),
+                                          [&] { return build_mann_context(config_, s); });
         continue;
       }
-      hdc_ctx[s] = cached_context<HdcContext>(g_hdc_cache_mutex, g_hdc_cache,
-                                              hdc_context_key(config_, s),
-                                              [&] { return build_hdc_context(config_, s); });
+      hdc_ctx[s] = g_hdc_contexts.get(hdc_context_key(config_, s),
+                                      [&] { return build_hdc_context(config_, s); });
       parallel_for(n_rates * n_times, 1, [&](std::size_t b, std::size_t e, std::size_t) {
         for (std::size_t j = b; j < e; ++j) hdc_half(j * n_seeds + s);
       });
@@ -393,23 +367,13 @@ ResilienceConfig dse_probe_config(double fault_rate, double age_s, std::uint64_t
 }
 
 ResilienceCacheStats resilience_cache_stats() {
-  ResilienceCacheStats stats;
-  stats.lookups = g_ctx_lookups.load(std::memory_order_relaxed);
-  stats.hits = g_ctx_hits.load(std::memory_order_relaxed);
-  return stats;
+  const util::MemoStats hdc = g_hdc_contexts.stats(), mann = g_mann_contexts.stats();
+  return {hdc.lookups + mann.lookups, hdc.hits + mann.hits};
 }
 
 void clear_resilience_caches() {
-  {
-    std::lock_guard<std::mutex> lk(g_hdc_cache_mutex);
-    g_hdc_cache.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lk(g_mann_cache_mutex);
-    g_mann_cache.clear();
-  }
-  g_ctx_lookups.store(0, std::memory_order_relaxed);
-  g_ctx_hits.store(0, std::memory_order_relaxed);
+  g_hdc_contexts.clear();
+  g_mann_contexts.clear();
 }
 
 }  // namespace xlds::fault

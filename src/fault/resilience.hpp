@@ -13,8 +13,8 @@
 //
 // The expensive seed-level artifacts (trained HDC model + test set, trained
 // CNN feature extractor reduced to per-episode feature vectors) are memoized
-// in process-wide caches — repeated sweeps at different policies or rates
-// rebuild nothing.  The (rate, time, seed) grid itself runs under
+// in two process-wide single-flight util::Memo caches — repeated sweeps at
+// different policies or rates rebuild nothing.  The (rate, time, seed) grid itself runs under
 // parallel_for_rng with one forked stream per point, so every number is
 // bit-identical at any XLDS_THREADS.
 #pragma once
@@ -27,6 +27,7 @@
 #include "cam/rram_tcam.hpp"
 #include "fault/policy.hpp"
 #include "hdc/model.hpp"
+#include "util/memo.hpp"
 #include "workload/dataset.hpp"
 #include "workload/fewshot.hpp"
 #include "xbar/crossbar.hpp"
@@ -139,13 +140,11 @@ class ResilienceEvaluator {
 /// probe at the same (rate, age) shares the process-wide context caches.
 ResilienceConfig dse_probe_config(double fault_rate, double age_s, std::uint64_t seed);
 
-/// Hit counters of the process-wide resilience context caches.
-struct ResilienceCacheStats {
-  std::size_t lookups = 0;
-  std::size_t hits = 0;
-};
+/// Counters of the process-wide resilience context memos (HDC and MANN summed).
+using ResilienceCacheStats = util::MemoStats;
 
 ResilienceCacheStats resilience_cache_stats();
+/// Drop both context memos and zero their counters.
 void clear_resilience_caches();
 
 }  // namespace xlds::fault

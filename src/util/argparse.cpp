@@ -152,18 +152,11 @@ void add_bench_options(ArgParse& args, std::uint64_t default_seed,
   args.add_option("seed", "experiment seed (results are a pure function of it)",
                   std::to_string(default_seed));
   args.add_option("threads", "parallel pool width; 0 = XLDS_THREADS / hardware", "0");
-  args.add_option("sched", "scheduler mode: steal | static (default: XLDS_SCHED / steal)");
   args.add_option("out", "result file path", default_out);
 }
 
 void apply_bench_options(const ArgParse& args) {
   if (args.provided("threads")) set_parallel_threads(static_cast<std::size_t>(args.uinteger("threads")));
-  if (args.provided("sched")) {
-    const std::string mode = args.str("sched");
-    XLDS_REQUIRE_MSG(mode == "steal" || mode == "static", "--sched takes steal | static");
-    set_parallel_scheduler(mode == "static" ? SchedulerMode::kStatic
-                                            : SchedulerMode::kWorkStealing);
-  }
 }
 
 }  // namespace xlds::util

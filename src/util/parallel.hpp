@@ -5,12 +5,11 @@
 // to run on all cores — but reproducibility is a core requirement, so the
 // parallel layer guarantees a stronger invariant than "thread safe":
 //
-//   results are bit-identical regardless of the thread count
-//   and regardless of the scheduler mode.
+//   results are bit-identical regardless of the thread count.
 //
 // Three rules make that hold:
 //   1. Work is split into chunks whose boundaries depend only on (n, chunk),
-//      never on how many threads execute them or which scheduler runs them.
+//      never on how many threads execute them or which lane runs them.
 //   2. Stochastic chunks each get their own Rng forked *sequentially on the
 //      calling thread* (parallel_for_rng), so stream assignment is a pure
 //      function of the chunk index — no shared sequential generator.
@@ -18,30 +17,24 @@
 //      by the caller (floating-point sums stay order-stable).
 //
 // Scheduling decides only *where* and *when* a chunk executes, never *what*
-// it computes, so the scheduler is free to be dynamic.  Two modes exist:
+// it computes, so the scheduler is free to be dynamic.  Chunks are grouped
+// into tasks, distributed round-robin across per-lane deques, and idle lanes
+// steal from the back of other lanes' deques.  Nested parallel_for calls
+// issued from inside a task participate cooperatively: the issuing worker
+// submits the inner tasks to the shared deques and helps execute them
+// (stealing back only work that descends from the job it is waiting on, so a
+// lock held around a nested region — or a util::Memo slot being computed —
+// can never be re-entered: fully-strict helping).
 //
-//   - kWorkStealing (default): chunks are grouped into tasks, distributed
-//     round-robin across per-lane deques, and idle lanes steal from the back
-//     of other lanes' deques.  Nested parallel_for calls issued from inside a
-//     task participate cooperatively: the issuing worker submits the inner
-//     tasks to the shared deques and helps execute them (stealing back only
-//     work that descends from the job it is waiting on, so a lock held around
-//     a nested region can never be re-entered — fully-strict helping).
-//   - kStatic: the pre-stealing scheduler — one shared claim cursor, nested
-//     calls degrade to inline serial.  Kept as a comparison baseline and as a
-//     fallback (XLDS_SCHED=static).
-//
-// Exception propagation is deterministic in both modes: when chunks throw,
+// Exception propagation is deterministic: when chunks throw,
 // the chunk with the *lowest index* wins (chunks below a recorded failure
 // always still run; chunks above it are skipped), so the caller sees the same
 // exception serial execution would produce — not whichever thread lost a race.
 //
 // The pool is lazily started; its width comes from the XLDS_THREADS
 // environment variable (default: hardware_concurrency) and can be changed at
-// runtime with set_parallel_threads().  The scheduler mode comes from
-// XLDS_SCHED ("steal" | "static", default steal) and can be changed with
-// set_parallel_scheduler().  Neither setting ever changes results — only
-// wall-clock time.
+// runtime with set_parallel_threads().  The width never changes results —
+// only wall-clock time.
 #pragma once
 
 #include <cstddef>
@@ -60,20 +53,6 @@ std::size_t parallel_thread_count();
 /// hardware_concurrency.  Blocks until any in-flight job finishes.  Changing
 /// the width never changes results — only wall-clock time.
 void set_parallel_threads(std::size_t n);
-
-/// How the pool places chunks onto lanes.  Orthogonal to the determinism
-/// contract: both modes produce bit-identical results.
-enum class SchedulerMode {
-  kStatic,        ///< shared claim cursor; nested calls run inline serial
-  kWorkStealing,  ///< per-lane deques + stealing; nested calls cooperate
-};
-
-/// Current scheduler mode (initially from XLDS_SCHED, default kWorkStealing).
-SchedulerMode parallel_scheduler();
-
-/// Switch scheduler mode.  Blocks until any in-flight job finishes so a job
-/// never sees a mid-run flip.  Never changes results — only wall-clock time.
-void set_parallel_scheduler(SchedulerMode mode);
 
 /// Pre-fork contract.  fork() only duplicates the calling thread: in a child
 /// forked while the pool's workers exist, every worker thread is gone but the

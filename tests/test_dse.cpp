@@ -356,13 +356,12 @@ TEST(FidelityLadder, DeterministicAcrossInstances) {
 TEST(FidelityLadder, BatchMatchesPerPointOnEveryField) {
   // evaluate_batch builds the batch's shared artifacts as concurrent sibling
   // tasks; out[i] must still be evaluate(points[i]) byte for byte, note
-  // string included, at any pool width.  The memo caches are cleared once
-  // per width so the first (mc) batch builds probe and tiles concurrently.
+  // string included, at any pool width.  Every ladder starts cold, so its
+  // first (mc) batch builds probe and tiles concurrently.
   FidelityConfig config;
   config.max_fidelity = Fidelity::kMonteCarlo;
   for (const std::size_t threads : {1, 4, 8}) {
     set_parallel_threads(threads);
-    clear_fidelity_caches();
     for (const char* app : kApplications) {
       const FidelityLadder ladder(config, core::profile_for(app));
       const SearchSpace space({}, app);
@@ -395,7 +394,6 @@ TEST(FidelityLadder, BatchSkipsProbeWhenNodalRungKillsThePoint) {
   p.arch = core::ArchKind::kCamAccelerator;
   p.algo = core::AlgoKind::kHdc;
   ASSERT_TRUE(ladder.evaluate(p, Fidelity::kAnalytic).feasible);
-  clear_fidelity_caches();
   fault::clear_resilience_caches();
   const core::Fom mc = ladder.evaluate_batch({p, p}, Fidelity::kMonteCarlo)[0];
   EXPECT_FALSE(mc.feasible);
@@ -587,25 +585,40 @@ TEST(Acceptance, CacheComposesWithJournalResume) {
 // ---- determinism across thread counts ---------------------------------------
 
 TEST(Engine, ThreadCountDoesNotChangeResults) {
+  // Up to the MC tier, 1 vs 8 lanes: the results — and every journal byte —
+  // must be identical, because placement decides only *where* a chunk runs
+  // and the journal appends in charge order either way.
+  const auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  };
   EngineConfig config;
   config.strategy = "nsga2";
-  config.budget = 30;
-  config.seed = 11;
+  config.budget = 60;
+  config.seed = 7;
+  config.fidelity.max_fidelity = Fidelity::kMonteCarlo;
 
+  TempPath j_serial("threads_1"), j_wide("threads_8");
   set_parallel_threads(1);
+  config.journal_path = j_serial.str();
   const ExplorationResult serial = explore(config);
-  set_parallel_threads(7);
+  set_parallel_threads(8);
+  config.journal_path = j_wide.str();
   const ExplorationResult wide = explore(config);
   set_parallel_threads(0);  // restore default
 
   EXPECT_TRUE(same_foms(serial, wide));
   EXPECT_EQ(serial.front, wide.front);
   EXPECT_EQ(serial.ranking, wide.ranking);
+  const std::string bytes_serial = read_bytes(j_serial.str());
+  ASSERT_FALSE(bytes_serial.empty());
+  EXPECT_EQ(bytes_serial, read_bytes(j_wide.str()));
 }
 
 TEST(Engine, NodalFactorizationsPerJobDoNotDependOnThreadCount) {
-  // The nodal rung's IR-error memo is single-flight: a cold job factorizes
-  // each device's probe tile once, however many lanes race for it.  And a
+  // The nodal rung's IR-error memo is single-flight and owned by the job's
+  // ladder: a job factorizes each device's probe tile once, however many
+  // lanes race for it, with no cache to clear in between.  And a
   // ladder batch tiles only the devices of its analytically feasible
   // crossbar points, so the per-application counts (recorded on the
   // per-point ladder) stay pinned — tiling infeasible points would raise them.
@@ -619,7 +632,6 @@ TEST(Engine, NodalFactorizationsPerJobDoNotDependOnThreadCount) {
     set_parallel_threads(threads);
     for (std::size_t a = 0; a < std::size(kApplications); ++a) {
       config.application = kApplications[a];
-      clear_fidelity_caches();
       const std::uint64_t before = core::Profiler::nodal().factorizations;
       (void)explore(config);
       EXPECT_EQ(core::Profiler::nodal().factorizations - before, expected[a])
@@ -631,8 +643,8 @@ TEST(Engine, NodalFactorizationsPerJobDoNotDependOnThreadCount) {
 
 TEST(Engine, CacheServedRerunDoesNoPhysics) {
   // Artifacts are built for cache misses only: a rerun that the result
-  // cache serves in full must not factorize a tile or touch a resilience
-  // context, even with every in-process memo dropped.
+  // cache serves in full must not factorize a tile (its ladder starts cold)
+  // or touch a resilience context, even with the context memos dropped.
   TempPath cache("warm_cache"), cold_journal("cold_journal"), warm_journal("warm_journal");
   EngineConfig config;
   config.strategy = "nsga2";
@@ -641,11 +653,9 @@ TEST(Engine, CacheServedRerunDoesNoPhysics) {
   config.fidelity.max_fidelity = Fidelity::kMonteCarlo;
   config.cache_path = cache.str();
   config.journal_path = cold_journal.str();
-  clear_fidelity_caches();
   const ExplorationResult cold = explore(config);
   ASSERT_GT(cold.stats.computed, 0u);
 
-  clear_fidelity_caches();
   fault::clear_resilience_caches();
   config.journal_path = warm_journal.str();
   const std::uint64_t before = core::Profiler::nodal().factorizations;
@@ -655,39 +665,6 @@ TEST(Engine, CacheServedRerunDoesNoPhysics) {
   EXPECT_EQ(core::Profiler::nodal().factorizations - before, 0u);
   EXPECT_EQ(fault::resilience_cache_stats().lookups, 0u);
   EXPECT_TRUE(same_foms(cold, warm));
-}
-
-TEST(Engine, SchedulerModeDoesNotChangeResultsOrJournalBytes) {
-  // Static vs work-stealing dispatch on the same MC-fidelity job spec: the
-  // results — and every journal byte — must be identical, because placement
-  // decides only *where* a chunk runs and the journal appends in charge
-  // order either way.
-  const auto read_bytes = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  };
-  EngineConfig config;
-  config.strategy = "nsga2";
-  config.budget = 60;
-  config.seed = 7;
-  config.fidelity.max_fidelity = Fidelity::kMonteCarlo;
-
-  TempPath j_static("sched_static"), j_steal("sched_steal");
-  set_parallel_threads(8);
-  set_parallel_scheduler(SchedulerMode::kStatic);
-  config.journal_path = j_static.str();
-  const ExplorationResult r_static = explore(config);
-  set_parallel_scheduler(SchedulerMode::kWorkStealing);
-  config.journal_path = j_steal.str();
-  const ExplorationResult r_steal = explore(config);
-  set_parallel_threads(0);  // restore defaults (mode already back to stealing)
-
-  EXPECT_TRUE(same_foms(r_static, r_steal));
-  EXPECT_EQ(r_static.front, r_steal.front);
-  EXPECT_EQ(r_static.ranking, r_steal.ranking);
-  const std::string bytes_static = read_bytes(j_static.str());
-  ASSERT_FALSE(bytes_static.empty());
-  EXPECT_EQ(bytes_static, read_bytes(j_steal.str()));
 }
 
 // ---- engine semantics -------------------------------------------------------

@@ -8,12 +8,15 @@
 #include <atomic>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <unordered_set>
 #include <vector>
 
 #include "core/design_space.hpp"
 #include "core/evaluate.hpp"
 #include "device/fefet.hpp"
+#include "util/memo.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "xbar/crossbar.hpp"
@@ -210,33 +213,56 @@ TEST_F(ParallelTest, EvaluateAllBitIdenticalAcrossThreadCountsAndMatchesSerial) 
 // ---- memo caches -------------------------------------------------------------
 
 TEST_F(ParallelTest, EvaluationCachesAreHitDuringSweeps) {
-  core::clear_evaluation_caches();
   const auto points = core::enumerate_design_space("isolet-like", /*include_culled=*/true);
   const auto profile = core::profile_for("isolet-like");
-  const core::Evaluator ev;
-  const auto first = ev.evaluate_all(points, profile);
 
-  const auto stats = core::evaluation_cache_stats();
-  // Many in-memory points share the handful of device kinds / CAM specs, so
-  // the sweep must hit both caches well short of its lookup count.
-  EXPECT_GT(stats.tile_cost_lookups, 0u);
-  EXPECT_GT(stats.tile_cost_hits, 0u);
-  EXPECT_LT(stats.tile_cost_hits, stats.tile_cost_lookups);
-  EXPECT_GT(stats.cam_fom_lookups, 0u);
-  EXPECT_GT(stats.cam_fom_hits, 0u);
-  EXPECT_LT(stats.cam_fom_hits, stats.cam_fom_lookups);
+  // Every evaluated in-memory point looks up its device's tile cost (unless
+  // it is CAM-only) and its CAM macro's Eva-CAM projection (if it has one).
+  std::size_t tile_lookups = 0, cam_lookups = 0;
+  std::set<device::DeviceKind> devices;
+  std::unordered_set<evacam::CamDesignSpec, evacam::CamSpecHash> specs;
+  for (const core::EnumeratedPoint& ep : points) {
+    const core::DesignPoint& p = ep.point;
+    if (ep.culled_because) continue;
+    const bool cam = p.arch == core::ArchKind::kCamAccelerator ||
+                     p.arch == core::ArchKind::kCamXbarHybrid;
+    const bool xbar = p.arch == core::ArchKind::kCrossbarAccelerator ||
+                      p.arch == core::ArchKind::kCamXbarHybrid;
+    if (xbar) {
+      ++tile_lookups;
+      devices.insert(p.device);
+    }
+    if (cam) {
+      ++cam_lookups;
+      specs.insert(core::cam_spec_for_point(p, profile));
+    }
+  }
+  ASSERT_GT(tile_lookups, devices.size());
+  ASSERT_GT(cam_lookups, specs.size());
 
-  // A second identical sweep is a pure cache replay — and caching must not
-  // change any result.
-  const auto again = ev.evaluate_all(points, profile);
-  const auto stats2 = core::evaluation_cache_stats();
-  EXPECT_EQ(stats2.tile_cost_hits - stats.tile_cost_hits,
-            stats2.tile_cost_lookups - stats.tile_cost_lookups);
-  EXPECT_EQ(stats2.cam_fom_hits - stats.cam_fom_hits,
-            stats2.cam_fom_lookups - stats.cam_fom_lookups);
-  ASSERT_EQ(first.size(), again.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_TRUE(fom_equal(first[i], again[i])) << "point " << i;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    set_parallel_threads(threads);
+    // A new evaluator starts cold; the memos are single-flight, so a cold
+    // sweep computes each distinct key exactly once at any lane count.
+    const core::Evaluator ev;
+    const auto first = ev.evaluate_all(points, profile);
+    util::MemoStats tile = ev.tile_cost_stats(), cam = ev.cam_fom_stats();
+    EXPECT_EQ(tile.lookups, tile_lookups) << threads << " threads";
+    EXPECT_EQ(tile.hits, tile.lookups - devices.size()) << threads << " threads";
+    EXPECT_EQ(cam.lookups, cam_lookups) << threads << " threads";
+    EXPECT_EQ(cam.hits, cam.lookups - specs.size()) << threads << " threads";
+
+    // A second identical sweep is a pure memo replay — and memoisation must
+    // not change any result.
+    const auto again = ev.evaluate_all(points, profile);
+    tile = ev.tile_cost_stats();
+    cam = ev.cam_fom_stats();
+    EXPECT_EQ(tile.hits, tile.lookups - devices.size()) << threads << " threads";
+    EXPECT_EQ(cam.hits, cam.lookups - specs.size()) << threads << " threads";
+    ASSERT_EQ(first.size(), again.size());
+    for (std::size_t i = 0; i < first.size(); ++i)
+      EXPECT_TRUE(fom_equal(first[i], again[i])) << "point " << i;
+  }
 }
 
 TEST(ForkSafety, QuiesceThenParallelRebuildsAndResultsAreUnchanged) {

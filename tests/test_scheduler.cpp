@@ -1,5 +1,5 @@
 // Tests for the work-stealing task scheduler: nested-parallel bit-equality
-// across thread counts and scheduler modes, first-by-index exception
+// across thread counts, first-by-index exception
 // determinism, steal-heavy nested stress (the TSan workhorse), cooperative
 // counters, and the per-call minimum-work floor.
 #include <gtest/gtest.h>
@@ -19,14 +19,11 @@
 namespace xlds {
 namespace {
 
-/// Restores pool width and scheduler mode after each test so overrides never
-/// leak across test cases.
+/// Restores the pool width after each test so overrides never leak across
+/// test cases.
 class SchedulerTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    set_parallel_scheduler(SchedulerMode::kWorkStealing);
-    set_parallel_threads(0);
-  }
+  void TearDown() override { set_parallel_threads(0); }
 };
 
 /// Outer DSE-style batch x inner MC-style chunked RNG sweep: the nested shape
@@ -50,29 +47,23 @@ std::vector<double> nested_sweep(std::size_t points, std::size_t trials) {
   });
 }
 
-TEST_F(SchedulerTest, NestedSweepBitIdenticalAcrossThreadsAndModes) {
+TEST_F(SchedulerTest, NestedSweepBitIdenticalAcrossThreadCounts) {
   const std::size_t points = 6, trials = 2000;
   set_parallel_threads(1);
-  set_parallel_scheduler(SchedulerMode::kStatic);
   const std::vector<double> serial = nested_sweep(points, trials);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{16}}) {
-    for (const SchedulerMode mode : {SchedulerMode::kStatic, SchedulerMode::kWorkStealing}) {
-      set_parallel_threads(threads);
-      set_parallel_scheduler(mode);
-      const std::vector<double> got = nested_sweep(points, trials);
-      ASSERT_EQ(got.size(), serial.size());
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], serial[i]) << "point " << i << " threads " << threads << " mode "
-                                     << (mode == SchedulerMode::kStatic ? "static" : "steal");
-    }
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}, std::size_t{16}}) {
+    set_parallel_threads(threads);
+    const std::vector<double> got = nested_sweep(points, trials);
+    ASSERT_EQ(got.size(), serial.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_EQ(got[i], serial[i]) << "point " << i << " threads " << threads;
   }
 }
 
 TEST_F(SchedulerTest, ExceptionPropagatesFirstByIndexNotFirstByTime) {
-  set_parallel_threads(8);
-  for (const SchedulerMode mode : {SchedulerMode::kStatic, SchedulerMode::kWorkStealing}) {
-    set_parallel_scheduler(mode);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    set_parallel_threads(threads);
     for (int rep = 0; rep < 20; ++rep) {
       try {
         // Chunk 11 delays before throwing while 37 and 53 throw immediately:
@@ -87,7 +78,7 @@ TEST_F(SchedulerTest, ExceptionPropagatesFirstByIndexNotFirstByTime) {
         });
         FAIL() << "expected an exception";
       } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "11");
+        EXPECT_STREQ(e.what(), "11") << "threads " << threads;
       }
     }
   }
@@ -99,7 +90,6 @@ TEST_F(SchedulerTest, ExceptionPropagatesFirstByIndexNotFirstByTime) {
 
 TEST_F(SchedulerTest, NestedExceptionPropagatesThroughCooperativeJoin) {
   set_parallel_threads(8);
-  set_parallel_scheduler(SchedulerMode::kWorkStealing);
   try {
     parallel_for(8, 1, [&](std::size_t begin, std::size_t, std::size_t) {
       parallel_for(16, 1, [&](std::size_t b2, std::size_t, std::size_t) {
@@ -115,7 +105,6 @@ TEST_F(SchedulerTest, NestedExceptionPropagatesThroughCooperativeJoin) {
 
 TEST_F(SchedulerTest, StealHeavyNestedStressIsRaceFreeAndCooperative) {
   set_parallel_threads(8);
-  set_parallel_scheduler(SchedulerMode::kWorkStealing);
   const core::Profiler::SchedCounts before = core::Profiler::sched();
   constexpr std::size_t kOuter = 32, kInner = 16, kReps = 10;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
@@ -143,18 +132,6 @@ TEST_F(SchedulerTest, StealHeavyNestedStressIsRaceFreeAndCooperative) {
   EXPECT_GT(after.tasks + after.stolen_tasks, before.tasks + before.stolen_tasks);
 }
 
-TEST_F(SchedulerTest, StaticModeInlinesNestedCalls) {
-  set_parallel_threads(8);
-  set_parallel_scheduler(SchedulerMode::kStatic);
-  const core::Profiler::SchedCounts before = core::Profiler::sched();
-  parallel_for(8, 1, [&](std::size_t, std::size_t, std::size_t) {
-    parallel_for(16, 1, [](std::size_t, std::size_t, std::size_t) {});
-  });
-  const core::Profiler::SchedCounts after = core::Profiler::sched();
-  EXPECT_GE(after.nested_inlined - before.nested_inlined, 8u);
-  EXPECT_EQ(after.nested_cooperative, before.nested_cooperative);
-}
-
 TEST_F(SchedulerTest, MinWorkFloorRunsTinyBatchesInline) {
   set_parallel_threads(8);
   const core::Profiler::SchedCounts before = core::Profiler::sched();
@@ -172,7 +149,7 @@ TEST_F(SchedulerTest, MinWorkFloorRunsTinyBatchesInline) {
   EXPECT_GE(after.inline_jobs - before.inline_jobs, 1u);
 }
 
-TEST_F(SchedulerTest, ParallelSumBitIdenticalAcrossModes) {
+TEST_F(SchedulerTest, ParallelSumBitIdenticalAcrossThreadCounts) {
   const auto run = [] {
     return parallel_sum(10000, 128, [](std::size_t i) {
       return std::sin(static_cast<double>(i) * 0.37) / (1.0 + static_cast<double>(i % 97));
@@ -180,13 +157,10 @@ TEST_F(SchedulerTest, ParallelSumBitIdenticalAcrossModes) {
   };
   set_parallel_threads(1);
   const double serial = run();
-  set_parallel_threads(8);
-  set_parallel_scheduler(SchedulerMode::kStatic);
-  const double st = run();
-  set_parallel_scheduler(SchedulerMode::kWorkStealing);
-  const double ws = run();
-  EXPECT_EQ(serial, st);
-  EXPECT_EQ(serial, ws);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    set_parallel_threads(threads);
+    EXPECT_EQ(run(), serial) << "threads " << threads;
+  }
 }
 
 }  // namespace

@@ -3,17 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cmath>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/argparse.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/matrix.hpp"
+#include "util/memo.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -465,14 +472,109 @@ TEST(Env, EnvHelpersWarnAndFallBack) {
   EXPECT_EQ(util::env_positive_count("XLDS_TEST_COUNT", 1), 1u);
   ::unsetenv("XLDS_TEST_COUNT");
   EXPECT_EQ(util::env_positive_count("XLDS_TEST_COUNT", 1), 1u);
+}
 
-  static const char* const kModes[] = {"steal", "static", nullptr};
-  ::setenv("XLDS_TEST_CHOICE", "static", 1);
-  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "static");
-  ::setenv("XLDS_TEST_CHOICE", "dynamic", 1);
-  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "steal");
-  ::unsetenv("XLDS_TEST_CHOICE");
-  EXPECT_EQ(util::env_choice("XLDS_TEST_CHOICE", kModes, "steal"), "steal");
+// ---- util::Memo --------------------------------------------------------------
+
+TEST(Memo, RacersOnOneKeyComputeOnceAndShareTheValue) {
+  util::Memo<int, std::vector<int>> memo;
+  std::atomic<int> computes{0};
+  std::atomic<bool> go{false};
+  constexpr std::size_t kRacers = 16;
+  std::vector<std::vector<int>> seen(kRacers);
+  std::vector<std::thread> racers;
+  for (std::size_t r = 0; r < kRacers; ++r)
+    racers.emplace_back([&, r] {
+      while (!go.load()) std::this_thread::yield();
+      seen[r] = memo.get(3, [&] {
+        computes.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));  // widen the race
+        return std::vector<int>{1, 2, 3};
+      });
+    });
+  go.store(true);
+  for (std::thread& t : racers) t.join();
+  EXPECT_EQ(computes.load(), 1);
+  for (const std::vector<int>& v : seen) EXPECT_EQ(v, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(memo.stats().lookups, kRacers);
+  EXPECT_EQ(memo.stats().hits, kRacers - 1);
+}
+
+TEST(Memo, NoLockIsHeldWhileAValueComputes) {
+  // Key 1's compute waits until key 2 starts computing on another thread.
+  // With the map lock held across a compute, key 2's lookup could never get
+  // in and key 1 would time out.
+  util::Memo<int, int> memo;
+  std::atomic<bool> one_started{false}, two_started{false};
+  bool saw_two = false;
+  std::thread first([&] {
+    memo.get(1, [&] {
+      one_started.store(true);
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!two_started.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+      saw_two = two_started.load();
+      return 1;
+    });
+  });
+  std::thread second([&] {
+    while (!one_started.load()) std::this_thread::yield();
+    memo.get(2, [&] {
+      two_started.store(true);
+      return 2;
+    });
+  });
+  first.join();
+  second.join();
+  EXPECT_TRUE(saw_two);
+  EXPECT_EQ(memo.get(1, [] { return -1; }), 1);
+  EXPECT_EQ(memo.get(2, [] { return -1; }), 2);
+}
+
+TEST(Memo, ThrowingComputeLeavesTheSlotRetryable) {
+  util::Memo<int, int> memo;
+  int computes = 0;
+  EXPECT_THROW(memo.get(7,
+                        [&]() -> int {
+                          ++computes;
+                          throw std::runtime_error("transient");
+                        }),
+               std::runtime_error);
+  EXPECT_EQ(memo.get(7,
+                     [&] {
+                       ++computes;
+                       return 42;
+                     }),
+            42);
+  EXPECT_EQ(memo.get(7, [&] { return ++computes; }), 42);  // now a hit
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(memo.stats().lookups, 3u);
+  EXPECT_EQ(memo.stats().hits, 1u);
+}
+
+TEST(Memo, HitsAreLookupsMinusDistinctKeysAtAnyLaneCount) {
+  constexpr std::size_t kLookups = 1000, kKeys = 10;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    set_parallel_threads(threads);
+    util::Memo<std::size_t, double> memo;
+    std::atomic<std::size_t> computes{0};
+    std::vector<double> got(kLookups);
+    parallel_for(kLookups, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+      for (std::size_t i = begin; i < end; ++i)
+        got[i] = memo.get(i % kKeys, [&] {
+          computes.fetch_add(1);
+          return 0.5 * static_cast<double>(i % kKeys);
+        });
+    });
+    for (std::size_t i = 0; i < kLookups; ++i) EXPECT_EQ(got[i], 0.5 * static_cast<double>(i % kKeys));
+    EXPECT_EQ(computes.load(), kKeys) << threads << " threads";
+    EXPECT_EQ(memo.stats().lookups, kLookups);
+    EXPECT_EQ(memo.stats().hits, kLookups - kKeys) << threads << " threads";
+    memo.clear();
+    EXPECT_EQ(memo.stats().lookups, 0u);
+    EXPECT_EQ(memo.get(3, [] { return -1.0; }), -1.0);  // cleared: recomputes
+  }
+  set_parallel_threads(0);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //            [--journal path] [--seed N] [--budget N] [--strategy name]
 //            [--surrogate on|off] [--surrogate-refit N] [--surrogate-uncertainty X]
 //            [--surrogate-qpc N] [--cache path]
-//            [--threads N] [--sched steal|static] [--no-stats]
+//            [--threads N] [--no-stats]
 //
 // The spec carries the full job description (see src/dse/jobspec.hpp);
 // command-line options override the matching spec fields so a CI matrix can
@@ -116,11 +116,7 @@ int main(int argc, char** argv) {
               << nodal.drift_refactorizations << " drift rebuilds, " << nodal.direct_solves
               << " direct / " << nodal.gs_solves << " GS solves\n";
     const auto& sched = result.stats.scheduler;
-    std::cerr << "xlds-dse: scheduler ("
-              << (xlds::parallel_scheduler() == xlds::SchedulerMode::kWorkStealing
-                      ? "work-stealing"
-                      : "static")
-              << ", " << xlds::parallel_thread_count() << " lanes): "
+    std::cerr << "xlds-dse: scheduler (" << xlds::parallel_thread_count() << " lanes): "
               << sched.counts.jobs << " jobs (" << sched.counts.inline_jobs << " inline), "
               << sched.counts.tasks << " tasks + " << sched.counts.stolen_tasks
               << " stolen, " << sched.counts.nested_cooperative << " nested cooperative / "
