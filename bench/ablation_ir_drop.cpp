@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
       Rng rng(seed + n);
       xbar::Crossbar analytic(config_for(n, xbar::IrDropMode::kAnalytic, density), rng);
       auto gs_cfg = config_for(n, xbar::IrDropMode::kNodal, density);
-      gs_cfg.nodal_direct = false;        // iterative reference
-      gs_cfg.nodal_warm_start = false;    // cold-start timing
+      gs_cfg.nodal_direct_max_bytes = 0;  // decline the factor: iterative reference
       gs_cfg.nodal_max_iters = 20000;     // enough to actually converge
       xbar::Crossbar gs(gs_cfg, rng);
       xbar::Crossbar direct(config_for(n, xbar::IrDropMode::kNodal, density), rng);

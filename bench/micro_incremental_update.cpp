@@ -27,6 +27,7 @@
 #include "core/counters.hpp"
 #include "device/rram.hpp"
 #include "device/technology.hpp"
+#include "machine.hpp"
 #include "util/argparse.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -191,6 +192,7 @@ void emit_json(const std::vector<UpdateResult>& results) {
   json << "{\n"
        << "  \"bench\": \"incremental_update\",\n"
        << "  \"threads\": " << parallel_thread_count() << ",\n"
+       << "  \"machine\": " << bench::machine_json() << ",\n"
        << "  \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const UpdateResult& r = results[i];
@@ -269,6 +271,6 @@ int main(int argc, char** argv) {
                "refactorization every one of them); the advantage shrinks roughly\n"
                "linearly in patch size and meets the refactorization cost around\n"
                "bandwidth/8 cells — which is exactly where the crossbar's incremental\n"
-               "policy (nodal_update_batch_limit) stops accepting patches.\n";
+               "policy (at most bandwidth/8 cells per patch) stops accepting patches.\n";
   return 0;
 }

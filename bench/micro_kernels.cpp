@@ -24,7 +24,6 @@
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "cam/fefet_cam.hpp"
 #include "cam/rram_tcam.hpp"
@@ -523,7 +522,7 @@ void emit_parallel_sweep_json() {
        << "  \"bench\": \"fig3g_variation_accuracy_mc_sweep\",\n"
        << "  \"kernel\": \"3-bit FeFET program+readback @ 94 mV sigma (batched)\",\n"
        << "  \"trials\": " << kTrials << ",\n"
-       << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
+       << "  \"machine\": " << bench::machine_json() << ",\n"
        << "  \"scalar_baseline\": {\"threads\": 1, \"seconds\": " << scalar_1t
        << ", \"checksum\": " << scalar_checksum << "},\n"
        << "  \"deterministic_across_thread_counts\": " << (deterministic ? "true" : "false")

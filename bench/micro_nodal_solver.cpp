@@ -3,8 +3,8 @@
 // Measures the repeated-query cost of the kNodal readout across array sizes
 // and solve strategies:
 //   * GS cold    — red-black Gauss-Seidel from a flat initial guess (the
-//                  pre-cache behaviour: every query pays the full iteration).
-//   * GS warm    — Gauss-Seidel warm-started from the previous iterate.
+//                  path a declined factorization takes: every query pays the
+//                  full iteration).
 //   * factorized — one cached Cholesky factorization per programming state,
 //                  a forward/back substitution per query.
 //   * batched    — the factorized multi-RHS path (readout_batch), which also
@@ -75,7 +75,6 @@ struct SizeResult {
   std::size_t n = 0;
   std::size_t queries = 0;
   double gs_cold_s = 0.0;      ///< total, `queries` independent cold solves
-  double gs_warm_s = 0.0;      ///< total, warm-started repeated solves
   double direct_build_s = 0.0; ///< one-time factorization (first query)
   double direct_query_s = 0.0; ///< total, `queries` cached substitutions
   double batch_s = 0.0;        ///< one readout_batch over `queries` vectors
@@ -95,38 +94,21 @@ SizeResult run_size(std::size_t n, std::size_t queries, std::uint64_t seed) {
   const MatrixD g = half_loaded(n, device::RramParams{}, seed);
   const MatrixD xs = query_batch(queries, n, seed + 1);
 
-  // --- Gauss-Seidel, cold start every query (fresh instance per query kills
-  // both the warm-start iterate and any factorization). --------------------
+  // --- Gauss-Seidel, cold start every query (a zero memory cap declines
+  // the factorization). -----------------------------------------------------
   auto gs_cfg = base_config(n);
-  gs_cfg.nodal_direct = false;
-  gs_cfg.nodal_warm_start = false;
+  gs_cfg.nodal_direct_max_bytes = 0;
   std::vector<std::vector<double>> gs_currents(queries);
   {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::size_t q = 0; q < queries; ++q) {
-      Rng rng(seed + 2);
-      xbar::Crossbar xb(gs_cfg, rng);
-      xb.program_conductances(g);
-      const std::vector<double> x(xs.row_data(q), xs.row_data(q) + n);
-      gs_currents[q] = xb.column_currents(x);
-    }
-    res.gs_cold_s = seconds_since(t0);
-  }
-
-  // --- Gauss-Seidel, warm-started across the query stream. ----------------
-  {
-    auto cfg = base_config(n);
-    cfg.nodal_direct = false;
-    cfg.nodal_warm_start = true;
     Rng rng(seed + 2);
-    xbar::Crossbar xb(cfg, rng);
+    xbar::Crossbar xb(gs_cfg, rng);
     xb.program_conductances(g);
     const auto t0 = std::chrono::steady_clock::now();
     for (std::size_t q = 0; q < queries; ++q) {
       const std::vector<double> x(xs.row_data(q), xs.row_data(q) + n);
-      (void)xb.column_currents(x);
+      gs_currents[q] = xb.column_currents(x);
     }
-    res.gs_warm_s = seconds_since(t0);
+    res.gs_cold_s = seconds_since(t0);
   }
 
   // --- factorized: one build, then repeated single-query substitutions. ---
@@ -227,12 +209,11 @@ BlockResult run_block(std::size_t n, std::size_t rhs, int repeats, std::uint64_t
 }
 
 void print_results(const std::vector<SizeResult>& results) {
-  Table table({"array", "queries", "GS cold", "GS warm", "factorize", "per query",
+  Table table({"array", "queries", "GS cold", "factorize", "per query",
                "batched", "speedup", "batched speedup", "max dev"});
   for (const SizeResult& r : results) {
     table.add_row({std::to_string(r.n) + "x" + std::to_string(r.n), std::to_string(r.queries),
                    Table::num(r.gs_cold_s * 1e3, 1) + " ms",
-                   Table::num(r.gs_warm_s * 1e3, 1) + " ms",
                    Table::num(r.direct_build_s * 1e3, 1) + " ms",
                    Table::num(r.direct_query_s * 1e3 / static_cast<double>(r.queries), 2) + " ms",
                    Table::num(r.batch_s * 1e3, 1) + " ms",
@@ -275,7 +256,6 @@ void emit_json(const std::vector<SizeResult>& results, const std::vector<BlockRe
     const SizeResult& r = results[i];
     json << "    {\"array\": " << r.n << ", \"queries\": " << r.queries
          << ", \"gs_cold_seconds\": " << r.gs_cold_s
-         << ", \"gs_warm_seconds\": " << r.gs_warm_s
          << ", \"factorize_seconds\": " << r.direct_build_s
          << ", \"factorized_repeated_seconds\": " << r.direct_query_s
          << ", \"factorized_batched_seconds\": " << r.batch_s
@@ -336,7 +316,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = args.uinteger("seed");
 
   print_banner(std::cout, "Micro-benchmark — factorization-cached nodal solver",
-               "GS cold vs warm vs factorized (single and batched multi-RHS)");
+               "GS cold vs factorized (single and batched multi-RHS)");
   std::cout << "Threads: " << parallel_thread_count() << " (XLDS_THREADS).\n\n";
 
   std::vector<SizeResult> results;
@@ -353,13 +333,6 @@ int main(int argc, char** argv) {
                "with array size; the cached factorization pays a one-time build and\n"
                "then answers each query with a forward/back substitution — 10x+ faster\n"
                "on repeated 64x64 queries — and the batched path adds parallel\n"
-               "substitutions on top.  Warm-started Gauss-Seidel shifts the stored\n"
-               "iterate by each row's driver-voltage change before reusing it, so on\n"
-               "the decorrelated random queries measured here it starts at least as\n"
-               "close as the cold flat guess (it used to start from the raw previous\n"
-               "solution, which was strictly worse and made \"warm\" slower than\n"
-               "cold); it still trails the direct path by an order of magnitude,\n"
-               "which is why factorization — not warm starting — is the default\n"
-               "answer to repeated-query workloads.\n";
+               "substitutions on top.\n";
   return 0;
 }

@@ -63,7 +63,7 @@ double nodal_ir_error_uncached(device::DeviceKind dev) {
   cfg.read_noise_rel = 0.0;
   // The cached direct solver answers this in one factorize + substitution.
   // The iteration bump only matters on the Gauss-Seidel fallback path
-  // (nodal_direct off or declined): a half-loaded 64x64 tile needs more
+  // (factor declined by the memory cap): a half-loaded 64x64 tile needs more
   // sweeps than the default budget, and an unconverged solve would fall
   // back to the analytic estimate and silently zero the rung's signal.
   cfg.nodal_max_iters = 20000;

@@ -32,6 +32,15 @@ class Matrix {
     return m;
   }
 
+  /// A 1 x n matrix holding v: one input vector as a batch of one.
+  static Matrix row_vector(const std::vector<T>& v) {
+    Matrix m;
+    m.rows_ = 1;
+    m.cols_ = v.size();
+    m.data_ = v;
+    return m;
+  }
+
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t size() const noexcept { return data_.size(); }

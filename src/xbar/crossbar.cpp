@@ -32,14 +32,20 @@ struct DeltaPatch {
   std::size_t bound_;
 };
 
-// Upper bound on the incremental batch cap note_cell_updates() can resolve
-// (the true factor bandwidth is at most 2*min(rows, cols)), so a DeltaPatch
-// with this bound always stores every cell of a patch the policy could
-// accept.
+// Incremental-update policy on a factor of bandwidth bw: a mutation of more
+// than batch_cap cells, or one that would take the factor past total_cap
+// accumulated rank-1 updates, refactorizes instead.  bw/8 is where a batch of
+// rank-1 sweeps stops being clearly cheaper than one refactorization; bw/2
+// bounds the accumulated floating-point drift and keeps the amortised update
+// cost below the refactorization it replaces.
+std::size_t update_batch_cap(std::size_t bw) { return std::max<std::size_t>(1, bw / 8); }
+std::size_t update_total_cap(std::size_t bw) { return std::max<std::size_t>(16, bw / 2); }
+
+// Upper bound on the batch cap note_cell_updates() can resolve (the true
+// factor bandwidth is at most 2*min(rows, cols)), so a DeltaPatch with this
+// bound always stores every cell of a patch the policy could accept.
 std::size_t patch_bound(const CrossbarConfig& cfg) {
-  const std::size_t bw_est = 2 * std::min(cfg.rows, cfg.cols);
-  return cfg.nodal_update_batch_limit != 0 ? cfg.nodal_update_batch_limit
-                                           : std::max<std::size_t>(1, bw_est / 8);
+  return update_batch_cap(2 * std::min(cfg.rows, cfg.cols));
 }
 }  // namespace
 
@@ -92,10 +98,6 @@ void Crossbar::invalidate_nodal_cache() {
   std::lock_guard<std::mutex> lk(nodal_cache_.mu);
   nodal_cache_.solver = nullptr;
   nodal_cache_.attempted = false;
-  nodal_cache_.warm = false;
-  nodal_cache_.warm_v = MatrixD{};
-  nodal_cache_.warm_u = MatrixD{};
-  nodal_cache_.warm_vin.clear();
 }
 
 std::shared_ptr<const NodalSolver> Crossbar::ensure_factorized() const {
@@ -128,27 +130,16 @@ std::shared_ptr<const NodalSolver> Crossbar::refactorize_fresh() const {
 void Crossbar::note_cell_updates(const CellDelta* deltas, std::size_t count) {
   NodalCache& cache = nodal_cache_;
   std::lock_guard<std::mutex> lk(cache.mu);
-  // The Gauss-Seidel warm iterate belongs to the previous programming state.
-  cache.warm = false;
-  cache.warm_v = MatrixD{};
-  cache.warm_u = MatrixD{};
-  cache.warm_vin.clear();
   if (cache.solver == nullptr || !cache.solver->ready()) {
     cache.solver = nullptr;
     cache.attempted = false;
     return;
   }
   const std::size_t bw = cache.solver->bandwidth();
-  const std::size_t batch_cap = config_.nodal_update_batch_limit != 0
-                                    ? config_.nodal_update_batch_limit
-                                    : std::max<std::size_t>(1, bw / 8);
-  const std::size_t total_cap = config_.nodal_update_limit != 0
-                                    ? config_.nodal_update_limit
-                                    : std::max<std::size_t>(16, bw / 2);
   // Count-based declines short-circuit before update_cells, so an oversized
   // DeltaPatch may legally pass a count beyond its stored prefix.
-  if (!config_.nodal_incremental || count > batch_cap ||
-      cache.solver->updates_applied() + count > total_cap ||
+  if (count > update_batch_cap(bw) ||
+      cache.solver->updates_applied() + count > update_total_cap(bw) ||
       !cache.solver->update_cells(deltas, count)) {
     core::Profiler::count_update_decline();
     cache.solver = nullptr;
@@ -186,8 +177,8 @@ void Crossbar::program_conductances(const MatrixD& targets) {
   }
   weights_ = MatrixD{};
   // A re-program that lands every cell exactly where it was (e.g. identical
-  // noiseless targets) changes nothing electrically: the factorization and
-  // warm iterate stay valid.
+  // noiseless targets) changes nothing electrically: the factorization
+  // stays valid.
   if (patch.count != 0) note_cell_updates(patch.deltas.data(), patch.count);
 }
 
@@ -321,15 +312,7 @@ double Crossbar::conductance(std::size_t row, std::size_t col) const {
   return g_(row, col);
 }
 
-std::vector<double> Crossbar::currents_ideal(const std::vector<double>& v_in) const {
-  // Same accumulation order (and zero-row skip) as the old in-place loop;
-  // the kernel adds the restrict qualification and column tiling.
-  std::vector<double> out(config_.cols);
-  kernels::matvec_t(g_.data().data(), config_.rows, config_.cols, v_in.data(), out.data());
-  return out;
-}
-
-std::vector<double> Crossbar::currents_analytic(const std::vector<double>& v_in) const {
+void Crossbar::currents_analytic(const double* v_in, double* out) const {
   // Two-pass fixed point: compute cell currents at nominal voltages, derive
   // row/column wire drops from the accumulated currents, then recompute cell
   // currents at the depressed voltages.  Captures the first-order IR-drop
@@ -339,7 +322,7 @@ std::vector<double> Crossbar::currents_analytic(const std::vector<double>& v_in)
   for (std::size_t r = 0; r < R; ++r)
     kernels::scale(g_.row_data(r), v_in[r], i_cell.row_data(r), C);
 
-  std::vector<double> out(C, 0.0);
+  std::fill(out, out + C, 0.0);
   // Row drops: driver on the left; segment k carries the suffix sum of
   // currents at columns >= k.  One scratch vector serves every row (and is
   // reused for the column pass below) — the per-row allocation was O(R+C)
@@ -369,45 +352,12 @@ std::vector<double> Crossbar::currents_analytic(const std::vector<double>& v_in)
   for (std::size_t r = 0; r < R; ++r) {
     const double* __restrict gr = g_.row_data(r);
     const double* __restrict ve = v_eff.row_data(r);
-    double* __restrict po = out.data();
+    double* __restrict po = out;
     for (std::size_t c = 0; c < C; ++c) po[c] += gr[c] * std::max(ve[c], 0.0);
   }
-  return out;
 }
 
-std::vector<double> Crossbar::currents_nodal(const std::vector<double>& v_in,
-                                             SolveStatus& status) const {
-  if (config_.nodal_direct) {
-    if (auto solver = ensure_factorized()) {
-      std::vector<double> out(config_.cols);
-      NodalSolver::Workspace ws;
-      NodalSolver::Result res = solver->solve(v_in.data(), out.data(), ws);
-      const double tol = kNodalTolRel * config_.read_voltage;
-      if (!(res.residual < tol) && solver->updates_applied() > 0) {
-        // The Jacobi-scaled residual is the drift detector for incrementally
-        // updated factors: a miss with updates applied means accumulated
-        // rank-1 round-off, not conditioning.  Refactorize from the exact
-        // conductances and retry once.
-        if (auto fresh = refactorize_fresh()) {
-          solver = std::move(fresh);
-          res = solver->solve(v_in.data(), out.data(), ws);
-        }
-      }
-      status = SolveStatus{};
-      status.direct = true;
-      status.residual = res.residual;
-      status.converged = res.residual < tol;
-      if (status.converged) return out;
-      // Residual above the Gauss-Seidel acceptance bar (pathological
-      // conditioning): fall through to the iterative cross-check rather than
-      // return a worse answer than the tolerance promises.
-    }
-  }
-  return currents_nodal_gs(v_in, status);
-}
-
-std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
-                                                SolveStatus& status) const {
+void Crossbar::currents_nodal_gs(const double* v_in, double* out, SolveStatus& status) const {
   // Red-black Gauss-Seidel nodal solve of the two-wire-layer resistive
   // network.  Nodes are coloured by (r + c) parity; within one colour the
   // row-node update only reads same-cell and same-row opposite-colour
@@ -418,35 +368,12 @@ std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
   core::Profiler::count_gs_solve();
   const std::size_t R = config_.rows, C = config_.cols;
   const double gw = 1.0 / wire_r_per_cell_;
+  // Cold start: every row-wire node at its driver voltage, the column wires
+  // at ground.
   MatrixD v(R, C, 0.0);  // row-wire node voltages
   MatrixD u(R, C, 0.0);  // column-wire node voltages
-  bool warmed = false;
-  if (config_.nodal_warm_start) {
-    // Start from the previous converged iterate when one exists: repeated or
-    // similar queries then converge in a handful of sweeps instead of a cold
-    // climb from the flat initial guess.  Shifting each row-wire voltage by
-    // the change in its driver voltage removes the dominant error term when
-    // the new query differs from the stored one (the row-wire profile rides
-    // on v_in[r]; the column-wire layer is driven by totals, which the sweeps
-    // re-balance quickly) — and is a no-op for a repeated query.
-    std::lock_guard<std::mutex> lk(nodal_cache_.mu);
-    if (nodal_cache_.warm) {
-      v = nodal_cache_.warm_v;
-      u = nodal_cache_.warm_u;
-      for (std::size_t r = 0; r < R; ++r) {
-        const double shift = v_in[r] - nodal_cache_.warm_vin[r];
-        if (shift != 0.0) {
-          double* vr = v.row_data(r);
-          for (std::size_t c = 0; c < C; ++c) vr[c] += shift;
-        }
-      }
-      warmed = true;
-    }
-  }
-  if (!warmed) {
-    for (std::size_t r = 0; r < R; ++r)
-      for (std::size_t c = 0; c < C; ++c) v(r, c) = v_in[r];
-  }
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t c = 0; c < C; ++c) v(r, c) = v_in[r];
 
   // Relax every cell of `colour` in row r (v first, then u) and return the
   // row's largest update.  Row-pointer sweep: within one colour pass the
@@ -535,26 +462,18 @@ std::vector<double> Crossbar::currents_nodal_gs(const std::vector<double>& v_in,
                 << status.residual << " V on a " << R << 'x' << C
                 << " array); falling back to the analytic IR-drop estimate\n";
     }
-    return currents_analytic(v_in);
-  }
-  if (config_.nodal_warm_start) {
-    std::lock_guard<std::mutex> lk(nodal_cache_.mu);
-    nodal_cache_.warm_v = v;
-    nodal_cache_.warm_u = u;
-    nodal_cache_.warm_vin.assign(v_in.begin(), v_in.end());
-    nodal_cache_.warm = true;
+    currents_analytic(v_in, out);
+    return;
   }
   // Read the column current as the sum of cell currents: identical to the
   // bottom-segment current at convergence, but far better conditioned than
   // u_last * g_wire (a tiny voltage times a huge conductance).
-  std::vector<double> out(C, 0.0);
   for (std::size_t c = 0; c < C; ++c) {
     double i_col = 0.0;
     for (std::size_t r = 0; r < R; ++r)
       i_col += g_.row_data(r)[c] * (v.row_data(r)[c] - u.row_data(r)[c]);
     out[c] = i_col;
   }
-  return out;
 }
 
 void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in,
@@ -588,18 +507,6 @@ void Crossbar::currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_
   });
 }
 
-std::vector<double> Crossbar::quantise_input(const std::vector<double>& input) const {
-  XLDS_REQUIRE_MSG(input.size() == config_.rows,
-                   "input length " << input.size() << " != " << config_.rows << " rows");
-  std::vector<double> v_in(config_.rows);
-  circuit::DacModel dac(config_.dac);
-  for (std::size_t r = 0; r < config_.rows; ++r) {
-    XLDS_REQUIRE_MSG(input[r] >= 0.0 && input[r] <= 1.0, "input " << input[r] << " not in [0,1]");
-    v_in[r] = dac.quantise(input[r], 0.0, 1.0) * config_.read_voltage;
-  }
-  return v_in;
-}
-
 void Crossbar::apply_readout_noise(double* currents) const {
   if (config_.read_noise_rel > 0.0) {
     // Peripheral read noise scales with the measured current (shot noise +
@@ -624,16 +531,10 @@ std::vector<double> Crossbar::column_currents(const std::vector<double>& input) 
 
 std::vector<double> Crossbar::column_currents(const std::vector<double>& input,
                                               SolveStatus& status) const {
-  const std::vector<double> v_in = quantise_input(input);
-  status = SolveStatus{};
-  std::vector<double> currents;
-  switch (config_.ir_drop) {
-    case IrDropMode::kNone: currents = currents_ideal(v_in); break;
-    case IrDropMode::kAnalytic: currents = currents_analytic(v_in); break;
-    case IrDropMode::kNodal: currents = currents_nodal(v_in, status); break;
-  }
-  apply_readout_noise(currents.data());
-  return currents;
+  std::vector<SolveStatus> statuses;
+  MatrixD out = readout_batch(MatrixD::row_vector(input), &statuses);
+  status = statuses[0];
+  return std::move(out.data());
 }
 
 MatrixD Crossbar::readout_batch(const MatrixD& inputs,
@@ -642,7 +543,6 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
                    "batch inputs have " << inputs.cols() << " columns, need " << config_.rows
                                         << " (one input vector per row)");
   const std::size_t batch = inputs.rows();
-  if (statuses != nullptr) statuses->assign(batch, SolveStatus{});
 
   // DAC quantisation is pure (no RNG): all rows up front.
   MatrixD v_in(batch, config_.rows);
@@ -660,6 +560,7 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
   }
 
   MatrixD out(batch, config_.cols, 0.0);
+  std::vector<SolveStatus> local(batch);
   switch (config_.ir_drop) {
     case IrDropMode::kNone:
       parallel_for(batch, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -670,24 +571,20 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
       break;
     case IrDropMode::kAnalytic:
       parallel_for(batch, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t b = begin; b < end; ++b) {
-          std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
-          const std::vector<double> i = currents_analytic(v);
-          std::copy(i.begin(), i.end(), out.row_data(b));
-        }
+        for (std::size_t b = begin; b < end; ++b)
+          currents_analytic(v_in.row_data(b), out.row_data(b));
       });
       break;
-    case IrDropMode::kNodal: {
-      std::vector<SolveStatus> local(batch);
-      const std::shared_ptr<const NodalSolver> solver =
-          config_.nodal_direct ? ensure_factorized() : nullptr;
-      if (solver != nullptr) {
+    case IrDropMode::kNodal:
+      if (const std::shared_ptr<const NodalSolver> solver = ensure_factorized()) {
         currents_nodal_batch(*solver, v_in, 0, out, local);
-        // Drift retry, batched: replicate what the sequential single-query
-        // path would do.  The first query to miss the tolerance on an
-        // incrementally updated factor triggers one refactorization; every
-        // query from that point on would have seen the fresh factor, so
-        // re-solve the whole tail against it.
+        // Drift retry.  The Jacobi-scaled residual is the drift detector for
+        // incrementally updated factors: a miss with updates applied means
+        // accumulated rank-1 round-off, not conditioning.  The first query to
+        // miss triggers one refactorization from the exact conductances, and
+        // it and every later query are re-solved against the fresh factor
+        // (so a query's answer is the same whether it is read alone or in a
+        // batch).
         if (solver->updates_applied() > 0) {
           const auto bad = std::find_if(local.begin(), local.end(),
                                         [](const SolveStatus& s) { return !s.converged; });
@@ -697,28 +594,16 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
                                    out, local);
           }
         }
-        // A direct solve that misses the tolerance falls back to the
-        // iterative path — sequentially, in index order, exactly as repeated
-        // single-query readouts would (warm-start state evolves identically).
-        for (std::size_t b = 0; b < batch; ++b) {
-          if (local[b].converged) continue;
-          std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
-          const std::vector<double> i = currents_nodal_gs(v, local[b]);
-          std::copy(i.begin(), i.end(), out.row_data(b));
-        }
-      } else {
-        // Iterative path: strictly sequential so the warm-start iterate each
-        // query sees matches the single-query sequence bit for bit.
-        for (std::size_t b = 0; b < batch; ++b) {
-          std::vector<double> v(v_in.row_data(b), v_in.row_data(b) + config_.rows);
-          const std::vector<double> i = currents_nodal_gs(v, local[b]);
-          std::copy(i.begin(), i.end(), out.row_data(b));
-        }
       }
-      if (statuses != nullptr) *statuses = std::move(local);
+      // Rows the direct solve left above the tolerance (pathological
+      // conditioning), or every row when the factor was declined, take the
+      // cold-start Gauss-Seidel path: one query at a time in index order, each
+      // sweep parallel over the array rows.
+      for (std::size_t b = 0; b < batch; ++b)
+        if (!local[b].converged) currents_nodal_gs(v_in.row_data(b), out.row_data(b), local[b]);
       break;
-    }
   }
+  if (statuses != nullptr) *statuses = std::move(local);
 
   // Read noise consumes the instance RNG: strictly in row order, so the draw
   // sequence matches repeated single-query readouts.
@@ -727,26 +612,12 @@ MatrixD Crossbar::readout_batch(const MatrixD& inputs,
 }
 
 std::vector<double> Crossbar::mvm(const std::vector<double>& input) const {
-  XLDS_REQUIRE_MSG(!weights_.empty(), "mvm() requires program_weights(); use column_currents() "
-                                      "for raw-conductance arrays");
-  const std::vector<double> currents = column_currents(input);
-  circuit::AdcModel adc(config_.adc);
-  const double i_fs =
-      config_.rram.g_max * config_.read_voltage * static_cast<double>(config_.rows);
-  const double unit = config_.read_voltage * (config_.rram.g_max - config_.rram.g_min);
-  std::vector<double> out(weights_.cols());
-  for (std::size_t j = 0; j < out.size(); ++j) {
-    const double ip = adc.quantise(currents[2 * j], 0.0, i_fs);
-    const double in = adc.quantise(currents[2 * j + 1], 0.0, i_fs);
-    // Baseline g_min contributions cancel in the differential pair.
-    out[j] = (ip - in) / unit;
-  }
-  return out;
+  return std::move(mvm_batch(MatrixD::row_vector(input)).data());
 }
 
 MatrixD Crossbar::mvm_batch(const MatrixD& inputs) const {
-  XLDS_REQUIRE_MSG(!weights_.empty(), "mvm_batch() requires program_weights(); use "
-                                      "readout_batch() for raw-conductance arrays");
+  XLDS_REQUIRE_MSG(!weights_.empty(), "mvm() requires program_weights(); use column_currents() "
+                                      "or readout_batch() for raw-conductance arrays");
   const MatrixD currents = readout_batch(inputs);
   const std::size_t batch = inputs.rows();
   circuit::AdcModel adc(config_.adc);
@@ -796,9 +667,10 @@ MvmCost Crossbar::mvm_cost() const {
 }
 
 double Crossbar::ir_drop_worst_case() const {
-  std::vector<double> ones(config_.rows, config_.read_voltage);
-  const std::vector<double> ideal = currents_ideal(ones);
-  const std::vector<double> actual = currents_analytic(ones);
+  const std::vector<double> ones(config_.rows, config_.read_voltage);
+  std::vector<double> ideal(config_.cols, 0.0), actual(config_.cols);
+  kernels::matvec_t(g_.data().data(), config_.rows, config_.cols, ones.data(), ideal.data());
+  currents_analytic(ones.data(), actual.data());
   double worst = 0.0;
   for (std::size_t c = 0; c < config_.cols; ++c) {
     if (ideal[c] <= 0.0) continue;

@@ -63,41 +63,15 @@ struct CrossbarConfig {
   double read_noise_rel = 0.005;  ///< column-current read noise, fraction of the measured current
   double settle_time = 1.0e-9;    ///< analog settling window per MVM, s
   int nodal_max_iters = 2000;     ///< Gauss-Seidel iteration budget (kNodal mode)
-  /// Use the factorization-cached direct nodal solver (kNodal mode).  The
+  /// Memory cap for the cached Cholesky factor (kNodal mode).  The
   /// factorization is built lazily on the first nodal readout after a
-  /// programming change and reused for every subsequent query; Gauss-Seidel
-  /// remains the fallback when disabled, declined (memory cap) or on numeric
-  /// breakdown.
-  bool nodal_direct = true;
-  /// Memory cap for the cached Cholesky factor; larger systems fall back to
-  /// Gauss-Seidel instead of allocating an oversized profile.
+  /// programming change and reused for every later query; systems whose
+  /// factor would exceed the cap decline it and use cold-start Gauss-Seidel
+  /// instead (0 forces the iterative path).  Small programming patches update
+  /// the cached factor as rank-1 up/down-dates (at most max(1, bw/8) cells per
+  /// mutation and max(16, bw/2) accumulated, bw = factor bandwidth); larger
+  /// patches, numeric breakdown or a drifted residual refactorize instead.
   std::size_t nodal_direct_max_bytes = 256u << 20;
-  /// Warm-start Gauss-Seidel from the previous converged iterate, shifted by
-  /// the per-row driver-voltage difference between the stored query and the
-  /// new one (only used where the direct path is off/unavailable).  The shift
-  /// removes the dominant error term for decorrelated queries, so the warm
-  /// guess is at least as close as the cold flat guess whether or not the
-  /// inputs repeat.  Results stay within the solver tolerance of a cold
-  /// start but are not bit-identical to one, and depend on the query order —
-  /// disable for strict cold-start reproducibility.
-  bool nodal_warm_start = true;
-  /// Apply small programming changes (stuck faults, partial re-programs) to
-  /// the cached factorization as rank-1 up/down-dates instead of dropping
-  /// it.  Falls back to a full refactorization when the patch is too large
-  /// (nodal_update_batch_limit), the accumulated update count exceeds
-  /// nodal_update_limit, the update breaks down numerically, or a later
-  /// solve's residual check reports the factor drifted.
-  bool nodal_incremental = true;
-  /// Largest patch (cells per mutation) handled incrementally; bigger
-  /// patches invalidate the cache.  0 = auto (factor bandwidth / 8, the
-  /// point where a batch of rank-1 sweeps stops being clearly cheaper than
-  /// one refactorization).
-  std::size_t nodal_update_batch_limit = 0;
-  /// Accumulated rank-1 updates tolerated on one factorization before the
-  /// next mutation forces a rebuild (bounds floating-point drift and keeps
-  /// the amortised update cost below the refactorization it replaces).
-  /// 0 = auto (factor bandwidth / 2).
-  std::size_t nodal_update_limit = 0;
 };
 
 /// Outcome of a nodal solve (kNodal mode).
@@ -178,7 +152,7 @@ class Crossbar {
 
   /// Raw column currents (A) for an input of per-row voltages in [0, 1]
   /// (scaled by read_voltage internally), DAC-quantised, with IR drop and
-  /// read noise applied.
+  /// read noise applied.  A readout_batch() of one row.
   std::vector<double> column_currents(const std::vector<double>& input) const;
 
   /// As above, reporting the nodal solve outcome per call (the status is
@@ -192,13 +166,16 @@ class Crossbar {
   /// In kNodal mode all vectors share one cached factorization and the
   /// forward/back substitutions run in blocks of up to
   /// NodalSolver::kMaxBlock vectors, in parallel over the blocks via
-  /// util::parallel — per-vector results are thread-count invariant.  When
-  /// `statuses` is non-null it receives one SolveStatus per batch row.
+  /// util::parallel; rows the direct solve leaves unconverged (or every row,
+  /// when the factor is declined) run cold-start Gauss-Seidel in index order.
+  /// Per-vector results are thread-count invariant.  When `statuses` is
+  /// non-null it receives one SolveStatus per batch row.
   MatrixD readout_batch(const MatrixD& inputs,
                         std::vector<SolveStatus>* statuses = nullptr) const;
 
   /// Signed MVM using differential pairs: returns ADC-quantised dot products
-  /// scaled back to weight×input units.  Input entries in [0, 1].
+  /// scaled back to weight×input units.  Input entries in [0, 1].  An
+  /// mvm_batch() of one row.
   std::vector<double> mvm(const std::vector<double>& input) const;
 
   /// Batched mvm(): inputs [batch x rows] -> outputs [batch x weights.cols()],
@@ -228,40 +205,34 @@ class Crossbar {
   std::size_t nodal_updates_applied() const;
 
  private:
-  // Solver cache + Gauss-Seidel warm-start state.  Guarded by `mu` so
-  // concurrent const readouts (the parallel evaluator shares arrays across
-  // worker threads) build the factorization exactly once without racing.
-  // Mutating the array (program/fault/age) while another thread reads is
-  // outside the contract, as it always was for the conductances themselves.
-  // The solver lives behind a shared_ptr so the rare drift-triggered
-  // refactorization during a const readout can swap in a fresh factor while
-  // concurrent readers keep solving against the old one (readers pin their
-  // snapshot; nothing is ever mutated under them).
+  // Solver cache.  Guarded by `mu` so concurrent const readouts (the
+  // parallel evaluator shares arrays across worker threads) build the
+  // factorization exactly once without racing.  Mutating the array
+  // (program/fault/age) while another thread reads is outside the contract,
+  // as it always was for the conductances themselves.  The solver lives
+  // behind a shared_ptr so the rare drift-triggered refactorization during a
+  // const readout can swap in a fresh factor while concurrent readers keep
+  // solving against the old one (readers pin their snapshot; nothing is ever
+  // mutated under them).
   struct NodalCache {
     std::mutex mu;
     std::shared_ptr<NodalSolver> solver;
     bool attempted = false;  ///< factorization tried since the last invalidation
-    MatrixD warm_v, warm_u;  ///< last converged Gauss-Seidel iterate
-    std::vector<double> warm_vin;  ///< driver voltages that iterate solved
-    bool warm = false;
   };
 
-  std::vector<double> currents_ideal(const std::vector<double>& v_in) const;
-  std::vector<double> currents_analytic(const std::vector<double>& v_in) const;
-  /// Dispatch: direct solve when enabled and factorizable, else Gauss-Seidel.
-  std::vector<double> currents_nodal(const std::vector<double>& v_in,
-                                     SolveStatus& status) const;
-  /// Iterative red-black Gauss-Seidel path (optionally warm-started).
-  std::vector<double> currents_nodal_gs(const std::vector<double>& v_in,
-                                        SolveStatus& status) const;
+  /// Two-pass analytic IR-drop estimate: driver voltages v_in[rows] ->
+  /// column currents out[cols].
+  void currents_analytic(const double* v_in, double* out) const;
+  /// Cold-start red-black Gauss-Seidel nodal solve of one query (falls back
+  /// to the analytic estimate when it does not converge); a pure function of
+  /// the conductances and v_in.
+  void currents_nodal_gs(const double* v_in, double* out, SolveStatus& status) const;
   /// Factorized multi-RHS path over rows [first, batch) of v_in/out
   /// ([batch x rows]/[batch x cols]), filling the matching statuses.
   void currents_nodal_batch(const NodalSolver& solver, const MatrixD& v_in, std::size_t first,
                             MatrixD& out, std::vector<SolveStatus>& statuses) const;
-  /// DAC-quantised, read_voltage-scaled row voltages for one input vector.
-  std::vector<double> quantise_input(const std::vector<double>& input) const;
   /// Lazily build (once per programming state) and return the cached direct
-  /// solver, or nullptr when disabled/declined.
+  /// solver, or nullptr when declined.
   std::shared_ptr<const NodalSolver> ensure_factorized() const;
   /// Replace a drifted factorization with a fresh one built from the current
   /// conductances (readers holding the old shared_ptr are unaffected).
@@ -269,8 +240,7 @@ class Crossbar {
   void invalidate_nodal_cache();
   /// Route a programming patch to the cached factorization: apply it as
   /// rank-1 up/down-dates when the incremental policy accepts it, otherwise
-  /// invalidate the cache.  The Gauss-Seidel warm iterate is dropped either
-  /// way (it belongs to the previous programming state).
+  /// invalidate the cache.
   void note_cell_updates(const CellDelta* deltas, std::size_t count);
   /// Read-noise + dead-lane post-processing (consumes the instance RNG).
   void apply_readout_noise(double* currents) const;

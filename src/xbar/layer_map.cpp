@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "kernels/mvm.hpp"
 #include "util/error.hpp"
@@ -76,14 +77,7 @@ std::size_t MappedLayer::tile_count() const noexcept {
 }
 
 std::vector<double> MappedLayer::forward(const std::vector<double>& input) const {
-  XLDS_REQUIRE_MSG(input.size() == in_dim_, "input " << input.size() << " != " << in_dim_);
-  std::vector<double> out(out_dim_, 0.0);
-  for (std::size_t s = 0; s < slices_.size(); ++s) {
-    const std::vector<double> y = slices_[s].mvm(input);
-    const double coeff = slice_coeff_[s];
-    for (std::size_t j = 0; j < out_dim_; ++j) out[j] += coeff * y[j];
-  }
-  return out;
+  return std::move(forward_batch(MatrixD::row_vector(input)).data());
 }
 
 MatrixD MappedLayer::forward_batch(const MatrixD& inputs) const {

@@ -56,7 +56,7 @@ class MappedLayer {
 
   /// Analog forward: x (length in_dim, entries in [0, 1]) -> W^T x with the
   /// quantised weights, through every slice fleet plus the digital
-  /// shift-and-add reconstruction.
+  /// shift-and-add reconstruction.  A forward_batch() of one row.
   std::vector<double> forward(const std::vector<double>& input) const;
 
   /// Batched analog forward: [batch x in_dim] -> [batch x out_dim]; row b is

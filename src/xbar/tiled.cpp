@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "kernels/mvm.hpp"
 #include "util/error.hpp"
@@ -42,25 +43,7 @@ void TiledCrossbar::program_weights(const MatrixD& weights) {
 }
 
 std::vector<double> TiledCrossbar::mvm(const std::vector<double>& input) const {
-  XLDS_REQUIRE_MSG(input.size() == in_dim_, "input " << input.size() << " != " << in_dim_);
-  std::vector<double> out(out_dim_, 0.0);
-  // One slice buffer serves every tile row (the per-row zero padding is
-  // rewritten in full each pass); partial sums land in a reused vector.
-  std::vector<double> slice(config_.tile.rows, 0.0);
-  std::vector<double> partial;
-  for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-    for (std::size_t r = 0; r < config_.tile.rows; ++r) {
-      const std::size_t gr = rt * config_.tile.rows + r;
-      slice[r] = gr < in_dim_ ? input[gr] : 0.0;
-    }
-    for (std::size_t ct = 0; ct < col_tiles_; ++ct) {
-      partial = tiles_[rt * col_tiles_ + ct].mvm(slice);
-      const std::size_t gc0 = ct * logical_cols_per_tile_;
-      kernels::accumulate(partial.data(), out.data() + gc0,
-                          std::min(partial.size(), out_dim_ - gc0));
-    }
-  }
-  return out;
+  return std::move(mvm_batch(MatrixD::row_vector(input)).data());
 }
 
 MatrixD TiledCrossbar::mvm_batch(const MatrixD& inputs) const {

@@ -42,6 +42,7 @@ class TiledCrossbar {
   void program_weights(const MatrixD& weights);
 
   /// Analog MVM: x (length in_dim, entries in [0, 1]) -> W^T x (length out_dim).
+  /// An mvm_batch() of one row.
   std::vector<double> mvm(const std::vector<double>& input) const;
 
   /// Batched MVM: inputs [batch x in_dim] -> outputs [batch x out_dim], row b

@@ -291,8 +291,8 @@ TEST_F(FaultTest, NodalSolveFallsBackWhenBudgetExhausted) {
   cfg.read_noise_rel = 0.0;
   cfg.ir_drop = xbar::IrDropMode::kNodal;
   // Starve the iterative path specifically — the direct solver would answer
-  // without consuming the iteration budget.
-  cfg.nodal_direct = false;
+  // without consuming the iteration budget, so a zero memory cap declines it.
+  cfg.nodal_direct_max_bytes = 0;
   cfg.nodal_max_iters = 1;
   Rng r1(52);
   xbar::Crossbar starved(cfg, r1);

@@ -3,7 +3,8 @@
 // non-square arrays, faults and aged cells), the invalidation contract on
 // program/fault/age, batched-vs-single bit-equality (including the lane-
 // blocked multi-RHS substitution against single solves), thread-count
-// invariance of readout_batch, and the per-call SolveStatus reporting.
+// invariance of readout_batch, the per-call SolveStatus reporting, and that a
+// Gauss-Seidel answer does not depend on earlier queries.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -101,7 +102,7 @@ TEST_P(NodalShapeTest, DirectMatchesGaussSeidel) {
   EXPECT_LT(ds.residual, xbar::kNodalTolRel * cfg.read_voltage);
   EXPECT_TRUE(direct.nodal_factorized());
 
-  cfg.nodal_direct = false;
+  cfg.nodal_direct_max_bytes = 0;  // decline the factor: Gauss-Seidel only
   Rng r2(3);
   xbar::Crossbar gs(cfg, r2);
   gs.program_conductances(g);
@@ -145,7 +146,7 @@ TEST_F(NodalTest, DirectMatchesGaussSeidelWithFaultsAndAging) {
   EXPECT_TRUE(ds.direct);
   EXPECT_TRUE(ds.converged);
 
-  cfg.nodal_direct = false;
+  cfg.nodal_direct_max_bytes = 0;  // decline the factor: Gauss-Seidel only
   Rng r2(11);
   xbar::Crossbar gs(cfg, r2);
   prepare(gs);
@@ -297,47 +298,61 @@ MatrixD batch_inputs(std::size_t batch, std::size_t rows, std::uint64_t seed) {
 }
 
 TEST_F(NodalTest, BatchedReadoutBitIdenticalToSequentialSingles) {
-  auto cfg = quiet_config(16, 16);
-  cfg.read_noise_rel = 0.005;  // noise on: the RNG draw order is part of the contract
-  const MatrixD g = mixed_conductances(16, 16, cfg.rram, 41);
-  const MatrixD xs = batch_inputs(5, 16, 42);
+  // Direct path, then Gauss-Seidel only (a zero memory cap declines the
+  // factor, so every row takes the index-ordered fallback loop), each at 1
+  // and 8 lanes.
+  for (const std::size_t max_bytes : {std::size_t{256} << 20, std::size_t{0}}) {
+    for (const std::size_t threads : {1u, 8u}) {
+      set_parallel_threads(threads);
+      auto cfg = quiet_config(16, 16);
+      cfg.read_noise_rel = 0.005;  // noise on: the RNG draw order is part of the contract
+      cfg.nodal_direct_max_bytes = max_bytes;
+      const MatrixD g = mixed_conductances(16, 16, cfg.rram, 41);
+      const MatrixD xs = batch_inputs(5, 16, 42);
 
-  Rng r1(13);
-  xbar::Crossbar batched(cfg, r1);
-  batched.program_conductances(g);
-  std::vector<xbar::SolveStatus> statuses;
-  const MatrixD out = batched.readout_batch(xs, &statuses);
-  ASSERT_EQ(statuses.size(), 5u);
-  for (const auto& s : statuses) {
-    EXPECT_TRUE(s.direct);
-    EXPECT_TRUE(s.converged);
-  }
+      Rng r1(13);
+      xbar::Crossbar batched(cfg, r1);
+      batched.program_conductances(g);
+      std::vector<xbar::SolveStatus> statuses;
+      const MatrixD out = batched.readout_batch(xs, &statuses);
+      ASSERT_EQ(statuses.size(), 5u);
 
-  Rng r2(13);
-  xbar::Crossbar single(cfg, r2);
-  single.program_conductances(g);
-  for (std::size_t b = 0; b < xs.rows(); ++b) {
-    const std::vector<double> x(xs.row_data(b), xs.row_data(b) + 16);
-    const auto i = single.column_currents(x);
-    for (std::size_t c = 0; c < 16; ++c)
-      EXPECT_EQ(out(b, c), i[c]) << "batch row " << b << " column " << c;
+      Rng r2(13);
+      xbar::Crossbar single(cfg, r2);
+      single.program_conductances(g);
+      for (std::size_t b = 0; b < xs.rows(); ++b) {
+        const std::vector<double> x(xs.row_data(b), xs.row_data(b) + 16);
+        xbar::SolveStatus s;
+        const auto i = single.column_currents(x, s);
+        EXPECT_EQ(statuses[b].direct, max_bytes != 0) << "row " << b;
+        EXPECT_TRUE(statuses[b].converged) << "row " << b;
+        EXPECT_EQ(statuses[b].iterations, s.iterations) << "row " << b;
+        for (std::size_t c = 0; c < 16; ++c)
+          EXPECT_EQ(out(b, c), i[c]) << "cap " << max_bytes << " lanes " << threads
+                                     << " batch row " << b << " column " << c;
+      }
+    }
   }
 }
 
 TEST_F(NodalTest, BatchedReadoutBitIdenticalAcrossThreadCounts) {
-  const auto run = [](std::size_t threads) {
+  const auto run = [](std::size_t threads, std::size_t max_bytes) {
     set_parallel_threads(threads);
     auto cfg = quiet_config(32, 32);
+    cfg.nodal_direct_max_bytes = max_bytes;
     Rng rng(17);
     xbar::Crossbar xb(cfg, rng);
     xb.program_conductances(mixed_conductances(32, 32, cfg.rram, 51));
     return xb.readout_batch(batch_inputs(9, 32, 52));
   };
-  const MatrixD out_1t = run(1);
-  const MatrixD out_8t = run(8);
-  ASSERT_EQ(out_1t.size(), out_8t.size());
-  for (std::size_t i = 0; i < out_1t.size(); ++i)
-    EXPECT_EQ(out_1t.data()[i], out_8t.data()[i]) << "flat index " << i;
+  // Direct path, then Gauss-Seidel only.
+  for (const std::size_t max_bytes : {std::size_t{256} << 20, std::size_t{0}}) {
+    const MatrixD out_1t = run(1, max_bytes);
+    const MatrixD out_8t = run(8, max_bytes);
+    ASSERT_EQ(out_1t.size(), out_8t.size());
+    for (std::size_t i = 0; i < out_1t.size(); ++i)
+      EXPECT_EQ(out_1t.data()[i], out_8t.data()[i]) << "cap " << max_bytes << " flat index " << i;
+  }
 }
 
 TEST_F(NodalTest, BatchedReadoutCoversAllIrDropModes) {
@@ -390,7 +405,7 @@ TEST_F(NodalTest, BatchedMvmBitIdenticalToSequentialMvm) {
   }
 }
 
-// ---- Gauss-Seidel fallback and warm start -----------------------------------
+// ---- Gauss-Seidel fallback ---------------------------------------------------
 
 TEST_F(NodalTest, MemoryCapFallsBackToGaussSeidel) {
   auto cfg = quiet_config(16, 16);
@@ -406,20 +421,28 @@ TEST_F(NodalTest, MemoryCapFallsBackToGaussSeidel) {
   EXPECT_FALSE(xb.nodal_factorized());
 }
 
-TEST_F(NodalTest, WarmStartConvergesFasterOnRepeatedQueries) {
+TEST_F(NodalTest, GaussSeidelAnswerDoesNotDependOnEarlierQueries) {
+  // Gauss-Seidel is a pure cold-start function of the conductances and the
+  // query: reading a query after unrelated ones gives the same bytes and the
+  // same sweep count as reading it first.
   auto cfg = quiet_config(32, 32);
-  cfg.nodal_direct = false;
+  cfg.nodal_direct_max_bytes = 0;  // decline the factor: Gauss-Seidel only
   Rng rng(31);
   xbar::Crossbar xb(cfg, rng);
   xb.program_conductances(mixed_conductances(32, 32, cfg.rram, 91));
   const std::vector<double> x = ramp_input(32);
-  xbar::SolveStatus cold, warm;
-  const auto i_cold = xb.column_currents(x, cold);
-  const auto i_warm = xb.column_currents(x, warm);
-  ASSERT_TRUE(cold.converged);
-  ASSERT_TRUE(warm.converged);
-  EXPECT_LT(warm.iterations, cold.iterations);
-  expect_currents_close(i_cold, i_warm);
+  xbar::SolveStatus first, again;
+  const auto i_first = xb.column_currents(x, first);
+  (void)xb.readout_batch(batch_inputs(3, 32, 92));
+  (void)xb.column_currents(std::vector<double>(32, 1.0));
+  const auto i_again = xb.column_currents(x, again);
+  ASSERT_TRUE(first.converged);
+  ASSERT_TRUE(again.converged);
+  EXPECT_FALSE(again.direct);
+  EXPECT_EQ(again.iterations, first.iterations);
+  EXPECT_EQ(std::memcmp(&again.residual, &first.residual, sizeof(double)), 0);
+  ASSERT_EQ(i_again.size(), i_first.size());
+  EXPECT_EQ(std::memcmp(i_again.data(), i_first.data(), i_first.size() * sizeof(double)), 0);
 }
 
 TEST_F(NodalTest, PerCallStatusReflectsDirectSolve) {
@@ -483,7 +506,6 @@ TEST_F(NodalTest, RepeatedProgramCellsCyclesStayCorrectThroughDeclines) {
   // trouble in an accepted update does the same — either way the next
   // readout must rebuild and answer like a freshly-programmed array.
   auto cfg = quiet_config(12, 12);
-  cfg.nodal_incremental = true;
   Rng rng(71);
   xbar::Crossbar xb(cfg, rng);
   xb.program_conductances(mixed_conductances(12, 12, cfg.rram, 131));
@@ -661,7 +683,6 @@ TEST_F(NodalTest, BatchedDriftRetryMidBlockMatchesSequentialSingles) {
   cfg.rram.g_max = 1e2;
   cfg.cell_pitch_f = 1e9 / (2.8e6 * 40e-9);  // 40 nm wire: ~1 GOhm per segment
   cfg.dac.bits = 8;
-  cfg.nodal_update_limit = 1000;
   constexpr std::size_t kBatch = 16, kFirstBad = 11;
   static_assert(kFirstBad % xbar::NodalSolver::kMaxBlock != 0);
   MatrixD xs(kBatch, 8, 0.0);

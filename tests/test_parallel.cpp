@@ -149,8 +149,9 @@ TEST_F(ParallelTest, NodalSolveBitIdenticalAcrossThreadCounts) {
     cfg.ir_drop = xbar::IrDropMode::kNodal;
     // Pin the iterative path: this test is about the Gauss-Seidel sweep
     // (the direct solver answers in 0 iterations and is covered by
-    // test_nodal's thread-invariance cases).
-    cfg.nodal_direct = false;
+    // test_nodal's thread-invariance cases); a zero memory cap declines the
+    // factor.
+    cfg.nodal_direct_max_bytes = 0;
     Rng rng(11);
     xbar::Crossbar xb(cfg, rng);
     MatrixD g(48, 48, cfg.rram.g_min);
