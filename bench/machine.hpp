@@ -1,11 +1,15 @@
 // Machine stamp for the BENCH_*.json files: a wall time counts only together
-// with the machine that produced it (core count, CPU, compiler, build type).
+// with the machine that produced it (core count, CPU, compiler, build type,
+// whether the kernel TUs were built -march=native, and the vector tier the
+// run-time dispatched kernels picked).
 #pragma once
 
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+
+#include "kernels/dispatch.hpp"
 
 #ifndef XLDS_BUILD_TYPE
 #define XLDS_BUILD_TYPE "unknown"
@@ -24,12 +28,15 @@ inline std::string cpu_model() {
   return "unknown";
 }
 
-/// {"hardware_threads": N, "cpu": ..., "compiler": ..., "build_type": ...}
+/// {"hardware_threads": N, "cpu": ..., "compiler": ..., "build_type": ...,
+///  "xlds_native": true|false, "isa": "avx2"|"sse2"|"baseline"}
 inline std::string machine_json() {
   std::ostringstream os;
   os << "{\"hardware_threads\": " << std::thread::hardware_concurrency() << ", \"cpu\": \""
      << cpu_model() << "\", \"compiler\": \"" << __VERSION__ << "\", \"build_type\": \""
-     << XLDS_BUILD_TYPE << "\"}";
+     << XLDS_BUILD_TYPE << "\", \"xlds_native\": "
+     << (kernels::built_native() ? "true" : "false") << ", \"isa\": \"" << kernels::isa_name()
+     << "\"}";
   return os.str();
 }
 

@@ -19,6 +19,10 @@
 // entry points (kernels::hamming, kernels::matvec_t, ...) are always the
 // optimised path, and the references stay exported for tests and the
 // bench-smoke CI gate (which fails the build if optimised < reference).
+// The one exception is the crossbar nodal solver (xbar/nodal_solver.cpp),
+// whose factor and substitution kernels are compiled for SSE2 and AVX2 and
+// picked at run time by runtime_isa(), so a portable build still runs 4-wide
+// where the CPU allows; every tier writes the same bytes.
 //
 // Determinism contract (inherited from util/parallel): a kernel's output is a
 // pure function of its inputs — no hidden state, no thread-count dependence.
@@ -27,10 +31,24 @@
 // values (fill_* do; fill_normal_fast defines its own sequence).
 #pragma once
 
+// x86 builds also carry target("avx2") instantiations of the run-time
+// dispatched kernels (see runtime_isa()).
+#if defined(__x86_64__) || defined(__i386__)
+#define XLDS_KERNELS_HAVE_AVX2 1
+#else
+#define XLDS_KERNELS_HAVE_AVX2 0
+#endif
+
 namespace xlds::kernels {
 
-/// Human-readable description of how the kernel TUs were compiled — shown by
-/// benches so BENCH_kernels.json records which build produced the numbers.
+/// Vector tiers of the run-time dispatched kernels.
+enum class Isa { kBaseline, kAvx2 };
+
+/// The widest tier the running CPU supports, detected once per process.
+Isa runtime_isa() noexcept;
+
+/// Name of runtime_isa() — "avx2", "sse2" (the x86-64 baseline) or
+/// "baseline" — shown by benches and stamped into the BENCH_*.json files.
 const char* isa_name() noexcept;
 
 /// True when the kernel TUs were built with -march=native (XLDS_NATIVE=ON).

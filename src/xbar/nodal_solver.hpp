@@ -28,6 +28,18 @@
 // factorization are read-only and race-free (each solve uses
 // caller-provided scratch).
 //
+// Vector kernels.  The long rows of the envelope (column-wire rows in
+// row-major order, row-wire rows in column-major order) come every other
+// row, so the factor sweeps a group of them at once as vector lanes: each
+// L(j, .) load serves every row of the group, while each lane keeps the exact
+// ascending-k operation chain of the row-by-row loop (padded with +0.0
+// before its own profile start, which never meets a -0.0).  The multi-RHS
+// substitution runs one right-hand side per lane.  Both kernels are one
+// template over the lane type, compiled for SSE2 (2 doubles) and AVX2 (4),
+// and the widest tier the CPU supports is picked at run time
+// (kernels::runtime_isa()); every width writes the same bytes as the scalar
+// row-by-row reference, factorize(..., lanes = 1).
+//
 // Incremental up/down-dates.  Changing one cell conductance by delta
 // perturbs A by exactly the rank-1 matrix delta * w w^T with
 // w = e_v - e_u (the two adjacent node indices of that cell), which lies
@@ -65,6 +77,17 @@ class NodalSolver {
   /// down numerically (the caller falls back to the iterative solve).
   bool factorize(const MatrixD& g, double g_wire, std::size_t max_bytes);
 
+  /// factorize() with the factor kernel pinned to `lanes` rows per vector:
+  /// 1 (the scalar row-by-row reference), 2 (SSE2) or 4 (AVX2, only where
+  /// kernel_lanes() is 4).  Every width writes the same factor bytes;
+  /// factorize() runs kernel_lanes().
+  bool factorize(const MatrixD& g, double g_wire, std::size_t max_bytes, std::size_t lanes);
+
+  /// Doubles per vector of the widest nodal kernels the running CPU supports
+  /// (kernels::runtime_isa()): 4 with AVX2, else 2.  factorize() runs that many
+  /// rows per vector and solve_block() that many right-hand sides.
+  static std::size_t kernel_lanes() noexcept;
+
   /// Apply a conductance patch to the existing factorization as a batch of
   /// rank-1 up/down-dates (one per cell whose conductance actually changed),
   /// keeping the conductance snapshot, A-diagonal and factor consistent.
@@ -95,6 +118,9 @@ class NodalSolver {
 
   /// Bytes held by the packed factor.
   std::size_t factor_bytes() const noexcept { return vals_.size() * sizeof(double); }
+
+  /// The packed factor: row i's L(i, start..i-1) followed by D(i).
+  const std::vector<double>& factor_values() const noexcept { return vals_; }
 
   /// Per-solve scratch.  Reused across solves to amortise allocation; each
   /// concurrently-solving thread must use its own instance.
@@ -130,7 +156,7 @@ class NodalSolver {
                    Workspace& ws) const;
 
  private:
-  template <std::size_t P>
+  template <std::size_t S>
   void solve_lanes(const double* v_in, double* i_col, Result* res, std::size_t k,
                    Workspace& ws) const;
 

@@ -14,8 +14,10 @@
 
 #include "core/counters.hpp"
 
+#include "device/rram.hpp"
 #include "fault/fault_map.hpp"
 #include "mann/lsh.hpp"
+#include "util/hash.hpp"
 #include "util/matrix.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -654,6 +656,161 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SolveBlockShapeTest,
                            return std::to_string(info.param.rows) + "x" +
                                   std::to_string(info.param.cols);
                          });
+
+// ---- golden pins --------------------------------------------------------------
+
+// FNV-1a hashes of the currents and residuals of 8 inputs read through solve()
+// and solve_block(), recorded from the scalar row-by-row factor and the
+// two-lane substitution before the lane-blocked kernels replaced them.  A
+// factor or substitution that reorders a single floating-point operation
+// changes a hash.  Each state exercises a different corner of the factor:
+// open cells assemble -0.0 couplings, stuck cells mix 0, g_min and g_max,
+// aged cells carry non-level conductances, and `updated` hashes a factor that
+// rank-1 up/down-dates rewrote after factorize().
+enum class PinState { kFresh, kOpen, kStuck, kAged, kUpdated };
+constexpr std::size_t kPinStates = 5;
+constexpr double kPinWire = 2.2;  // S per segment
+
+MatrixD pin_conductances(std::size_t rows, std::size_t cols, PinState state) {
+  const device::RramParams p;
+  MatrixD g = mixed_conductances(rows, cols, p, 401 + rows * 31 + cols);
+  Rng pick(409 + rows + cols);
+  switch (state) {
+    case PinState::kOpen:
+      for (std::size_t i = 0; i < g.data().size(); ++i)
+        if (i % 3 == 0) g.data()[i] = 0.0;
+      break;
+    case PinState::kStuck:
+      for (double& v : g.data()) {
+        const double u = pick.uniform();
+        if (u < 0.1) v = p.g_max;
+        else if (u < 0.2) v = p.g_min;
+        else if (u < 0.25) v = 0.0;
+      }
+      break;
+    case PinState::kAged: {
+      const device::RramModel model(p);
+      for (double& v : g.data()) v = model.relax(v, 3600.0, pick);
+      break;
+    }
+    default: break;
+  }
+  return g;
+}
+
+bool pin_factorize(xbar::NodalSolver& solver, std::size_t rows, std::size_t cols,
+                   PinState state) {
+  if (!solver.factorize(pin_conductances(rows, cols, state), kPinWire, std::size_t{1} << 30))
+    return false;
+  if (state != PinState::kUpdated) return true;
+  const device::RramParams p;
+  Rng pick(419 + rows * 7 + cols);
+  std::vector<xbar::CellDelta> patch;
+  for (int i = 0; i < 4; ++i)
+    patch.push_back({static_cast<std::size_t>(pick.uniform() * rows) % rows,
+                     static_cast<std::size_t>(pick.uniform() * cols) % cols,
+                     i == 0 ? 0.0 : pick.uniform(p.g_min, p.g_max)});
+  return solver.update_cells(patch.data(), patch.size()) && solver.updates_applied() > 0;
+}
+
+// Hash of 8 inputs read in blocks of `lanes` (1 = single solve() calls).
+std::uint64_t pin_hash(const xbar::NodalSolver& solver, std::size_t lanes) {
+  constexpr std::size_t kInputs = 8;
+  const std::size_t rows = solver.rows(), cols = solver.cols();
+  Rng fill(431 + rows + cols);
+  std::vector<double> v_in(kInputs * rows), i_col(kInputs * cols);
+  for (double& v : v_in) v = fill.uniform(0.0, 0.2);
+  std::vector<xbar::NodalSolver::Result> res(kInputs);
+  xbar::NodalSolver::Workspace ws;
+  for (std::size_t j = 0; j < kInputs; j += lanes) {
+    if (lanes == 1)
+      res[j] = solver.solve(v_in.data() + j * rows, i_col.data() + j * cols, ws);
+    else
+      solver.solve_block(v_in.data() + j * rows, i_col.data() + j * cols, res.data() + j,
+                         lanes, ws);
+  }
+  std::uint64_t h = util::fnv1a64(i_col.data(), i_col.size() * sizeof(double));
+  for (const auto& r : res) h = util::fnv1a64(&r.residual, sizeof r.residual, h);
+  return h;
+}
+
+struct PinCase {
+  std::size_t rows, cols;
+  std::uint64_t hash[kPinStates];  // fresh, open, stuck, aged, updated
+};
+
+class NodalGoldenPins : public NodalTest, public ::testing::WithParamInterface<PinCase> {};
+
+TEST_P(NodalGoldenPins, CurrentsAndResidualsMatchRecordedHashes) {
+  const PinCase& pin = GetParam();
+  for (std::size_t s = 0; s < kPinStates; ++s) {
+    xbar::NodalSolver solver;
+    ASSERT_TRUE(pin_factorize(solver, pin.rows, pin.cols, static_cast<PinState>(s)))
+        << "state " << s;
+    for (std::size_t lanes : {1u, 4u, 8u})
+      EXPECT_EQ(pin_hash(solver, lanes), pin.hash[s])
+          << pin.rows << 'x' << pin.cols << " state " << s << " lanes " << lanes << ": 0x"
+          << std::hex << pin_hash(solver, lanes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, NodalGoldenPins,
+    ::testing::Values(
+        PinCase{1, 1,
+                {0x461d53eb4c468446ull, 0x8421ae126c7ced25ull, 0x461d53eb4c468446ull,
+                 0xd34c89fde2c82a34ull, 0x897154549503ce4dull}},
+        PinCase{3, 7,
+                {0x36bdfe26203717d5ull, 0x808255c6d153ea9eull, 0x4f45a87894a102beull,
+                 0x79500e1e262b4bf6ull, 0xc87c656819c2d193ull}},
+        PinCase{16, 16,
+                {0xf8da0ce24074897full, 0x96a2995256ae49a9ull, 0x0e2d30416328d355ull,
+                 0x6784a64076f66ebcull, 0x4b05e93fe2667257ull}},
+        PinCase{64, 64,
+                {0x9d1d04a95e4fff97ull, 0x83f97d6847231cbcull, 0x794a951046010743ull,
+                 0xb988cc54e7e3a541ull, 0x1afbdde1ca7aa7e5ull}},
+        PinCase{128, 64,
+                {0x54ddfc08c4c6c4d8ull, 0xffcc30b92833b780ull, 0x5572e6aaa96457f1ull,
+                 0x1d09d1df524a4468ull, 0x30743c721a28f546ull}},
+        PinCase{32, 128,
+                {0x5752a4f509ba2d01ull, 0x5d41df99460ba995ull, 0xfb3f29e26917ff17ull,
+                 0x8d20db3f66ec4e0dull, 0x60f23e4ead45be28ull}}),
+    [](const ::testing::TestParamInfo<PinCase>& info) {
+      return std::to_string(info.param.rows) + "x" + std::to_string(info.param.cols);
+    });
+
+// Every factor kernel width writes the same bytes: the scalar row-by-row
+// reference (1 lane), SSE2 (2) and, where the CPU has it, AVX2 (4).  The
+// envelopes cover both cell orders, open cells (-0.0 couplings), groups cut
+// short at the array's end and arrays too narrow for more than one lane.
+TEST_F(NodalTest, FactorKernelWidthsWriteIdenticalBytes) {
+  std::vector<std::size_t> widths = {2};
+  if (xbar::NodalSolver::kernel_lanes() == 4) widths.push_back(4);
+  const ShapeCase shapes[] = {{1, 1}, {1, 9}, {9, 1}, {2, 5}, {3, 7}, {16, 16},
+                              {64, 64}, {128, 64}, {32, 128}, {20, 37}};
+  for (const auto [rows, cols] : shapes) {
+    for (std::size_t s = 0; s + 1 < kPinStates; ++s) {
+      const MatrixD g = pin_conductances(rows, cols, static_cast<PinState>(s));
+      xbar::NodalSolver ref;
+      ASSERT_TRUE(ref.factorize(g, kPinWire, std::size_t{1} << 30, 1));
+      for (std::size_t w : widths) {
+        xbar::NodalSolver wide;
+        ASSERT_TRUE(wide.factorize(g, kPinWire, std::size_t{1} << 30, w));
+        ASSERT_EQ(wide.factor_values().size(), ref.factor_values().size());
+        EXPECT_EQ(std::memcmp(wide.factor_values().data(), ref.factor_values().data(),
+                              ref.factor_bytes()),
+                  0)
+            << rows << 'x' << cols << " state " << s << ": width " << w
+            << " factor differs from the scalar reference";
+      }
+    }
+  }
+  xbar::NodalSolver solver;
+  if (xbar::NodalSolver::kernel_lanes() != 4) {
+    EXPECT_THROW(solver.factorize(MatrixD(4, 4, 1e-5), 1.0, 1u << 20, 4), PreconditionError);
+  }
+  EXPECT_THROW(solver.factorize(MatrixD(4, 4, 1e-5), 1.0, 1u << 20, 3), PreconditionError);
+}
 
 TEST_F(NodalTest, SolveBlockRejectsEmptyAndOversizedBlocks) {
   xbar::NodalSolver solver;
